@@ -12,7 +12,7 @@
 //! JSON somewhere other than the committed `BENCH_parallel.json` baseline (CI writes a
 //! fresh file and feeds both to `bench --bin gate`).
 //!
-//! Speedups depend on the hardware: shard workers run on `std::thread::scope` threads, so
+//! Speedups depend on the hardware: shard workers run on worker-pool threads, so
 //! a single-core container (check the `hardware_threads` field in the JSON) cannot show
 //! wall-clock wins — the JSON records whatever the machine actually delivers.
 

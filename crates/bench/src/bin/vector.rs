@@ -20,7 +20,8 @@ use std::time::Instant;
 
 use bench::report::{fmt_f, heading, Table};
 use bench::HarnessArgs;
-use wpinq::expr::{set_columnar_override, set_radix_override};
+use wpinq::column::ColumnBatch;
+use wpinq::expr::set_columnar_override;
 use wpinq::plan::{
     dataset_to_values, plan_from_spec, DynPlan, OptimizeLevel, PlanBindings, SequentialExecutor,
 };
@@ -313,10 +314,10 @@ fn write_json(path: &str, mode: &str, rows: &[Row]) -> std::io::Result<()> {
 }
 
 /// Kernel-granularity resolve microbench: one collapsing projection (the whole plan is a
-/// single merge of duplicate-heavy contributions), timed under each resolution strategy —
-/// hash accumulation (row interpreter), global packed sort-merge (`WPINQ_RADIX=0`), and
-/// radix partition + per-partition sort (the default). All three are asserted bitwise
-/// identical before timing is reported.
+/// single merge of duplicate-heavy contributions), timed under hash accumulation (row
+/// interpreter) and radix partition + per-partition sort (the columnar path; the merge
+/// is far above the radix threshold). Both are asserted bitwise identical before timing
+/// is reported.
 fn resolve_microbench(data: &WeightedDataset<Rec>, reps: usize, rows: &mut Vec<Row>) {
     let x = Expr::input;
     let source = Plan::<Rec>::source_expr("records");
@@ -326,9 +327,8 @@ fn resolve_microbench(data: &WeightedDataset<Rec>, reps: usize, rows: &mut Vec<R
     ]));
     let w = workload("resolve-merge", data, source.clone(), source, expr_form);
 
-    let leg = |columnar: bool, radix: bool| {
+    let leg = |columnar: bool| {
         set_columnar_override(Some(columnar));
-        set_radix_override(Some(radix));
         let mut best = f64::INFINITY;
         let mut out = None;
         for _ in 0..reps {
@@ -339,19 +339,13 @@ fn resolve_microbench(data: &WeightedDataset<Rec>, reps: usize, rows: &mut Vec<R
             }));
         }
         set_columnar_override(None);
-        set_radix_override(None);
         (best, canon(&out.expect("at least one rep")))
     };
-    let (hash_ms, hash_out) = leg(false, false);
-    let (sm_ms, sm_out) = leg(true, false);
-    let (radix_ms, radix_out) = leg(true, true);
+    let (hash_ms, hash_out) = leg(false);
+    let (radix_ms, radix_out) = leg(true);
     assert_eq!(
-        sm_out, hash_out,
-        "resolve-merge: sort-merge diverged from hash"
-    );
-    assert_eq!(
-        radix_out, sm_out,
-        "resolve-merge: radix diverged from sort-merge"
+        radix_out, hash_out,
+        "resolve-merge: radix diverged from hash"
     );
 
     let mut table = Table::new([
@@ -359,11 +353,7 @@ fn resolve_microbench(data: &WeightedDataset<Rec>, reps: usize, rows: &mut Vec<R
         "wall ms".to_string(),
         "speedup vs hash".to_string(),
     ]);
-    for (name, ms) in [
-        ("hash", hash_ms),
-        ("sort-merge", sm_ms),
-        ("radix", radix_ms),
-    ] {
+    for (name, ms) in [("hash", hash_ms), ("radix", radix_ms)] {
         table.row(vec![
             name.to_string(),
             fmt_f(ms, 2),
@@ -371,11 +361,7 @@ fn resolve_microbench(data: &WeightedDataset<Rec>, reps: usize, rows: &mut Vec<R
         ]);
         rows.push(Row {
             workload: "resolve-merge",
-            executor: match name {
-                "hash" => "hash",
-                "sort-merge" => "sort-merge",
-                _ => "radix",
-            },
+            executor: name,
             wall_ms: ms,
             speedup_vs_row: hash_ms / ms,
         });
@@ -392,16 +378,20 @@ fn colwire_microbench(data: &WeightedDataset<Rec>, reps: usize, rows: &mut Vec<R
         .iter()
         .map(|(record, weight)| (record.clone(), weight))
         .collect();
+    let ty = pairs.first().expect("non-empty dataset").0.type_of();
     let mut encode_ms = f64::INFINITY;
     let mut decode_ms = f64::INFINITY;
     let (mut frame, mut back) = (None, None);
     for _ in 0..reps {
         frame = Some(timed(&mut encode_ms, || {
-            wpinq::colwire::encode_rows(&pairs).expect("shape-consistent rows encode")
+            let batch = ColumnBatch::from_pairs(ty.clone(), pairs.iter().map(|(v, w)| (v, *w)));
+            wpinq::colwire::encode_batch(&batch.expect("shape-consistent rows"))
         }));
         let bytes = frame.as_ref().unwrap();
         back = Some(timed(&mut decode_ms, || {
-            wpinq::colwire::decode_rows(bytes).expect("self-decode")
+            wpinq::colwire::decode_batch(bytes)
+                .expect("self-decode")
+                .to_pairs()
         }));
     }
     let frame = frame.expect("at least one rep");
@@ -461,20 +451,18 @@ fn main() {
         "workload".to_string(),
         "closure ms".to_string(),
         "expr-row ms".to_string(),
-        "sort-merge ms".to_string(),
         "expr-columnar ms".to_string(),
         "columnar speedup".to_string(),
     ]);
 
     for w in workloads(&data) {
-        // Interleave the four legs inside each rep so they sample the same machine
+        // Interleave the three legs inside each rep so they sample the same machine
         // state: per-leg best-of over sequential blocks lets a load spike during one
         // leg masquerade as a speedup (or regression) of another.
         let mut closure_ms = f64::INFINITY;
         let mut row_ms = f64::INFINITY;
-        let mut sm_ms = f64::INFINITY;
         let mut col_ms = f64::INFINITY;
-        let (mut typed_out, mut row_out, mut sm_out, mut col_out) = (None, None, None, None);
+        let (mut typed_out, mut row_out, mut col_out) = (None, None, None);
         for _ in 0..reps {
             typed_out = Some(timed(&mut closure_ms, || {
                 w.typed
@@ -487,25 +475,16 @@ fn main() {
                     .eval_opt(&w.dyn_bindings, &SequentialExecutor, OptimizeLevel::None)
             }));
             set_columnar_override(Some(true));
-            set_radix_override(Some(false));
-            sm_out = Some(timed(&mut sm_ms, || {
-                w.dynamic
-                    .plan
-                    .eval_opt(&w.dyn_bindings, &SequentialExecutor, OptimizeLevel::None)
-            }));
-            set_radix_override(Some(true));
             col_out = Some(timed(&mut col_ms, || {
                 w.dynamic
                     .plan
                     .eval_opt(&w.dyn_bindings, &SequentialExecutor, OptimizeLevel::None)
             }));
             set_columnar_override(None);
-            set_radix_override(None);
         }
-        let (typed_out, row_out, sm_out, col_out) = (
+        let (typed_out, row_out, col_out) = (
             typed_out.expect("at least one rep"),
             row_out.expect("at least one rep"),
-            sm_out.expect("at least one rep"),
             col_out.expect("at least one rep"),
         );
 
@@ -514,12 +493,6 @@ fn main() {
             canon(&row_out),
             reference,
             "{}: expr-row diverged from closures",
-            w.name
-        );
-        assert_eq!(
-            canon(&sm_out),
-            reference,
-            "{}: expr-columnar (sort-merge) diverged from closures",
             w.name
         );
         assert_eq!(
@@ -544,12 +517,6 @@ fn main() {
         });
         rows.push(Row {
             workload: w.name,
-            executor: "expr-columnar-sortmerge",
-            wall_ms: sm_ms,
-            speedup_vs_row: row_ms / sm_ms,
-        });
-        rows.push(Row {
-            workload: w.name,
             executor: "expr-columnar",
             wall_ms: col_ms,
             speedup_vs_row: speedup,
@@ -558,7 +525,6 @@ fn main() {
             w.name.to_string(),
             fmt_f(closure_ms, 2),
             fmt_f(row_ms, 2),
-            fmt_f(sm_ms, 2),
             fmt_f(col_ms, 2),
             format!("{speedup:.2}x"),
         ]);

@@ -4,12 +4,12 @@
 //! recursive tag string, then every primitive leaf column as contiguous fixed-width
 //! little-endian data, then the weights as raw `f64` bits. Column-contiguous layout means
 //! a decoder reconstructs each `Vec` with one bulk pass per column instead of one branchy
-//! shape walk per row, and an encoder never materializes a [`Value`] at all.
+//! shape walk per row, and an encoder never materializes a [`Value`](crate::value::Value) at all.
 //!
 //! The format is **exact**: weights travel as IEEE-754 bit patterns and integer leaves as
 //! their in-memory width, so `decode_batch(encode_batch(b)) == b` bit-for-bit — which is
-//! what lets the sharded exchange path and the service's `"encoding":"columnar"` response
-//! mode ship frames without perturbing the release-bitwise-identity guarantees.
+//! what lets the service's `"encoding":"columnar"` response mode ship frames without
+//! perturbing the release-bitwise-identity guarantees.
 //!
 //! ## Frame layout (version 1)
 //!
@@ -34,7 +34,7 @@
 //! drift.
 
 use crate::column::{ColumnBatch, ColumnData};
-use crate::value::{Value, ValueType};
+use crate::value::ValueType;
 
 /// Frame magic, first bytes after the length prefix: `"WPQC"`.
 pub const COLWIRE_MAGIC: [u8; 4] = *b"WPQC";
@@ -275,20 +275,6 @@ pub fn decode_batch(bytes: &[u8]) -> Result<ColumnBatch, ColwireError> {
         .ok_or_else(|| ColwireError::new("inconsistent column lengths"))
 }
 
-/// Encodes weighted rows as one frame, inferring the shape from the first record.
-/// `None` when the rows are empty (no shape to infer) or shape-inconsistent — the caller
-/// keeps its row representation.
-pub fn encode_rows(rows: &[(Value, f64)]) -> Option<Vec<u8>> {
-    let ty = rows.first()?.0.type_of();
-    let batch = ColumnBatch::from_pairs(ty, rows.iter().map(|(v, w)| (v, *w)))?;
-    Some(encode_batch(&batch))
-}
-
-/// Decodes a frame to weighted rows in frame order — the inverse of [`encode_rows`].
-pub fn decode_rows(bytes: &[u8]) -> Result<Vec<(Value, f64)>, ColwireError> {
-    Ok(decode_batch(bytes)?.to_pairs())
-}
-
 const BASE64_ALPHABET: &[u8; 64] =
     b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
 
@@ -360,6 +346,7 @@ pub fn from_base64(text: &str) -> Result<Vec<u8>, ColwireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::Value;
 
     fn sample_batch() -> ColumnBatch {
         let rows = [
@@ -411,24 +398,20 @@ mod tests {
 
     #[test]
     fn rows_round_trip_preserves_order_and_bits() {
-        let rows = vec![
+        let rows = [
             (Value::U64(9), f64::NAN),
             (Value::U64(2), -0.0),
             (Value::U64(9), 1.0 / 3.0),
         ];
-        let frame = encode_rows(&rows).unwrap();
-        let back = decode_rows(&frame).unwrap();
+        let batch = ColumnBatch::from_pairs(ValueType::U64, rows.iter().map(|(v, w)| (v, *w)));
+        let back = decode_batch(&encode_batch(&batch.unwrap()))
+            .unwrap()
+            .to_pairs();
         assert_eq!(back.len(), rows.len());
         for ((v0, w0), (v1, w1)) in rows.iter().zip(&back) {
             assert_eq!(v0, v1);
             assert_eq!(w0.to_bits(), w1.to_bits());
         }
-    }
-
-    #[test]
-    fn empty_and_inconsistent_rows_are_refused() {
-        assert!(encode_rows(&[]).is_none());
-        assert!(encode_rows(&[(Value::U64(1), 1.0), (Value::Bool(true), 1.0)]).is_none());
     }
 
     #[test]

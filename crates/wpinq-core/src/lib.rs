@@ -11,8 +11,8 @@
 //!   keys with these same kernels, and the `wpinq` plan layer's batch evaluator calls them
 //!   directly, so there is exactly one definition of each operator's weight arithmetic.
 //! * [`shard`] — hash-partitioned [`ShardedDataset`]s plus shard-parallel variants of every
-//!   batch kernel (long-lived [`shard::WorkerPool`] workers or scoped threads, selected by
-//!   [`shard::ShardRunner`]; exchanges at GroupBy/Join boundaries), bitwise-identical to
+//!   batch kernel (dispatched on long-lived [`shard::WorkerPool`] workers; exchanges at
+//!   GroupBy/Join boundaries), bitwise-identical to
 //!   the sequential kernels thanks to the canonical accumulation order in [`accumulate`].
 //! * [`noise`] and [`aggregation`] — Laplace sampling and the `NoisyCount`/`NoisySum`
 //!   measurement primitives (no privacy accounting here; budgets live in `wpinq`).

@@ -24,10 +24,9 @@
 //!   [`wpinq_core::shard::WorkerPool`] (channel-fed workers; zero thread spawns in steady
 //!   state), and deltas are exchanged only at `GroupBy`/`Join` boundaries. Batches below
 //!   a per-operator cutover ([`sharded::DEFAULT_INLINE_CUTOVER`], calibrated by the plan
-//!   lowering, overridable via [`sharded::INLINE_CUTOVER_ENV`]) run inline. Propagation
-//!   is **bitwise identical** to the sequential graph (canonical consolidation at every
-//!   exchange, canonical `L1Scorer` batch merges), so the MCMC walk can switch engines
-//!   freely.
+//!   lowering) run inline. Propagation is **bitwise identical** to the sequential graph
+//!   (canonical consolidation at every exchange, canonical `L1Scorer` batch merges), so
+//!   the MCMC walk can switch engines freely.
 //!
 //! Correctness contract: pushing any sequence of deltas through a dataflow leaves every
 //! sink equal to the corresponding *batch* operator applied to the accumulated input. The
@@ -53,6 +52,5 @@ pub use delta::{consolidate, diff_datasets, Delta};
 pub use scorer::L1Scorer;
 pub use sharded::{
     ShardedDeltas, ShardedInput, ShardedStream, DEFAULT_INLINE_CUTOVER, EXCHANGES_METRIC,
-    EXCHANGE_COLWIRE_BYTES_METRIC, EXCHANGE_COLWIRE_ROWS_METRIC, INLINE_CUTOVER_ENV,
 };
 pub use stream::{CollectedOutput, DataflowInput, ScorerHandle, Stream};

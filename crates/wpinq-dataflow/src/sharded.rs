@@ -38,21 +38,17 @@
 //! (small MCMC swap batches run inline; bulk loads fan out) cannot affect results. The
 //! cutover is **per-operator**: every stream carries a configured cutover
 //! ([`DEFAULT_INLINE_CUTOVER`] unless [`ShardedStream::with_cutover`] set one — the plan
-//! lowering calibrates it from its cardinality estimates), and the
-//! [`INLINE_CUTOVER_ENV`] environment variable overrides every operator at once (`0` =
-//! always dispatch on the pool, the deterministic CI axis). The property tests in
-//! `tests/equivalence.rs` and `crates/wpinq/tests/` enforce the equivalence
+//! lowering calibrates it from its cardinality estimates). The property tests in
+//! `tests/equivalence.rs` (at the default cutover and at `with_cutover(0)`, which puts
+//! every batch on the pool) and `crates/wpinq/tests/` enforce the equivalence
 //! operator-by-operator, over random plans, and along seeded edge-swap trajectories.
 
-use std::any::Any;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::{Arc, OnceLock};
 
-use wpinq_core::colwire;
 use wpinq_core::shard::{shard_of, WorkerPool};
-use wpinq_core::value::Value;
 use wpinq_core::{Record, WeightedDataset};
 use wpinq_telemetry::{registry, Counter};
 
@@ -75,12 +71,6 @@ pub type ShardedDeltas<T> = Vec<Vec<Delta<T>>>;
 /// lowering calibrates one per operator from its cardinality estimates).
 pub const DEFAULT_INLINE_CUTOVER: usize = 256;
 
-/// Environment variable overriding every operator's inline/parallel cutover at once:
-/// parsed once per process, `0` forces every non-empty batch onto the worker pool (the
-/// deterministic CI axis), any other number replaces the configured cutovers. Unset or
-/// unparsable leaves the per-operator values in force.
-pub const INLINE_CUTOVER_ENV: &str = "WPINQ_INLINE_CUTOVER";
-
 /// Registry name of the counter of delta exchanges executed by sharded graphs,
 /// cumulative over the process (one count per consolidating record-hash exchange). The
 /// MCMC bench snapshots this series alongside the thread-spawn counter to characterise
@@ -97,87 +87,6 @@ fn exchanges_counter() -> &'static Arc<Counter> {
             "Consolidating delta exchanges executed by sharded dataflow graphs",
         )
     })
-}
-
-/// Registry name of the counter of colwire frame bytes moved by pooled exchanges of
-/// dynamically typed (`Value`) delta buckets, cumulative over the process. Together with
-/// [`EXCHANGE_COLWIRE_ROWS_METRIC`] this yields the exchange format's bytes-per-row,
-/// which the vector bench reports as its `exchange-codec` leg.
-pub const EXCHANGE_COLWIRE_BYTES_METRIC: &str = "wpinq_exchange_colwire_bytes_total";
-
-/// Registry name of the counter of delta rows that crossed a pooled exchange as colwire
-/// frames (see [`EXCHANGE_COLWIRE_BYTES_METRIC`]).
-pub const EXCHANGE_COLWIRE_ROWS_METRIC: &str = "wpinq_exchange_colwire_rows_total";
-
-fn colwire_bytes_counter() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| {
-        registry().counter(
-            EXCHANGE_COLWIRE_BYTES_METRIC,
-            &[],
-            "Colwire frame bytes moved by pooled Value-delta exchanges",
-        )
-    })
-}
-
-fn colwire_rows_counter() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| {
-        registry().counter(
-            EXCHANGE_COLWIRE_ROWS_METRIC,
-            &[],
-            "Delta rows moved through colwire frames by pooled Value-delta exchanges",
-        )
-    })
-}
-
-/// Moves one destination bucket across the exchange boundary. Dynamically typed
-/// (`Value`) buckets — the record type wire-built plans run on, and hence the only
-/// streams a remote deployment would exchange — travel as a compact colwire frame:
-/// column-contiguous fixed-width data instead of one boxed enum tree per row. The codec
-/// is bit-exact (`colwire` round-trips every `Value` and every `f64` weight, including
-/// NaN and -0.0, by raw bits), so the contributions handed to `consolidate` are
-/// identical to a by-ownership move and the release bytes cannot change. Statically
-/// typed buckets, and `Value` buckets whose records mix shapes (no single frame schema),
-/// move by ownership as before.
-fn ship_bucket<T: Record>(bucket: Vec<Delta<T>>) -> Vec<Delta<T>> {
-    if bucket.is_empty() {
-        return bucket;
-    }
-    let boxed: Box<dyn Any> = Box::new(bucket);
-    let rows = match boxed.downcast::<Vec<Delta<Value>>>() {
-        Ok(rows) => *rows,
-        Err(other) => {
-            return *other
-                .downcast::<Vec<Delta<T>>>()
-                .expect("identity downcast")
-        }
-    };
-    let shipped = match colwire::encode_rows(&rows) {
-        Some(frame) => {
-            colwire_bytes_counter().add(frame.len() as u64);
-            colwire_rows_counter().add(rows.len() as u64);
-            colwire::decode_rows(&frame).expect("colwire self-decode")
-        }
-        None => rows,
-    };
-    let back: Box<dyn Any> = Box::new(shipped);
-    *back.downcast::<Vec<Delta<T>>>().expect("identity downcast")
-}
-
-fn cutover_override() -> Option<usize> {
-    static OVERRIDE: OnceLock<Option<usize>> = OnceLock::new();
-    *OVERRIDE.get_or_init(|| {
-        std::env::var(INLINE_CUTOVER_ENV)
-            .ok()
-            .and_then(|raw| raw.trim().parse::<usize>().ok())
-    })
-}
-
-/// The cutover an operator should actually use: the [`INLINE_CUTOVER_ENV`] override when
-/// set, the configured (possibly calibrated) per-stream value otherwise.
-fn effective_cutover(configured: usize) -> usize {
-    cutover_override().unwrap_or(configured)
 }
 
 fn batch_work<T>(batches: &[Vec<Delta<T>>]) -> usize {
@@ -249,16 +158,7 @@ fn exchange<T: Record>(
     exchanges_counter().inc();
     let by_dest = combine(routed, n);
     let work = batch_work(&by_dest);
-    // Below the cutover the exchange is a local move and buckets are consolidated in
-    // place; at or above it (the branch a distributed deployment would put a network
-    // hop on) each bucket crosses the boundary as a colwire frame.
-    let pooled = work >= cutover;
     run_buckets(pool, cutover, by_dest, work, |_, contributions| {
-        let contributions = if pooled {
-            ship_bucket(contributions)
-        } else {
-            contributions
-        };
         consolidate(contributions)
     })
 }
@@ -361,8 +261,7 @@ impl<T: Record> ShardedStream<T> {
         self.nshards
     }
 
-    /// The inline/parallel cutover operators built from this handle will use (before the
-    /// [`INLINE_CUTOVER_ENV`] override, which wins at operator-construction time).
+    /// The inline/parallel cutover operators built from this handle will use.
     pub fn cutover(&self) -> usize {
         self.cutover
     }
@@ -408,7 +307,7 @@ impl<T: Record> ShardedStream<T> {
         let n = self.nshards;
         let (node, stream) = self.child::<U>();
         let pool = self.pool.clone();
-        let cutover = effective_cutover(self.cutover);
+        let cutover = self.cutover;
         self.add_listener(move |batches| {
             let work = batch_work(batches);
             let routed = run_buckets(
@@ -438,7 +337,7 @@ impl<T: Record> ShardedStream<T> {
     {
         let (node, stream) = self.child::<T>();
         let pool = self.pool.clone();
-        let cutover = effective_cutover(self.cutover);
+        let cutover = self.cutover;
         self.add_listener(move |batches| {
             let work = batch_work(batches);
             let out: ShardedDeltas<T> = run_buckets(
@@ -469,7 +368,7 @@ impl<T: Record> ShardedStream<T> {
         let n = self.nshards;
         let (node, stream) = self.child::<U>();
         let pool = self.pool.clone();
-        let cutover = effective_cutover(self.cutover);
+        let cutover = self.cutover;
         self.add_listener(move |batches| {
             let work = batch_work(batches);
             let routed = run_buckets(
@@ -504,7 +403,7 @@ impl<T: Record> ShardedStream<T> {
         let n = self.nshards;
         let (node, stream) = self.child::<(T, u64)>();
         let pool = self.pool.clone();
-        let cutover = effective_cutover(self.cutover);
+        let cutover = self.cutover;
         let schedule = Arc::new(schedule);
         let mut ops: Vec<_> = (0..n)
             .map(|_| {
@@ -544,7 +443,7 @@ impl<T: Record> ShardedStream<T> {
         let n = self.nshards;
         let (node, stream) = self.child::<(K, R)>();
         let pool = self.pool.clone();
-        let cutover = effective_cutover(self.cutover);
+        let cutover = self.cutover;
         let key = Arc::new(key);
         let reduce = Arc::new(reduce);
         let mut ops: Vec<_> = (0..n)
@@ -607,7 +506,7 @@ impl<T: Record> ShardedStream<T> {
         );
         let (node, stream) = self.child::<R>();
         let pool = self.pool.clone();
-        let cutover = effective_cutover(self.cutover);
+        let cutover = self.cutover;
         let key_self = Arc::new(key_self);
         let key_other = Arc::new(key_other);
         let result = Arc::new(result);
@@ -652,7 +551,7 @@ impl<T: Record> ShardedStream<T> {
         });
 
         let right_key = key_other;
-        let right_cutover = effective_cutover(other.cutover);
+        let right_cutover = other.cutover;
         other.add_listener(move |batches| {
             let work = batch_work(batches);
             let rerouted = run_buckets(
@@ -698,8 +597,8 @@ impl<T: Record> ShardedStream<T> {
         );
         let (node, stream) = self.child::<T>();
         let pool = self.pool.clone();
-        let cutover = effective_cutover(self.cutover);
-        let right_cutover = effective_cutover(other.cutover);
+        let cutover = self.cutover;
+        let right_cutover = other.cutover;
         let ops: Vec<IncrementalMinMax<T>> = (0..n)
             .map(|_| {
                 if take_max {

@@ -17,8 +17,9 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 use wpinq::operators as batch;
 use wpinq::plan::{Plan, PlanBindings, ShardedStreamBindings, StreamBindings};
+use wpinq::shard::POOL_DISPATCHES_METRIC;
 use wpinq::WeightedDataset;
-use wpinq_dataflow::{DataflowInput, Delta, ShardedInput};
+use wpinq_dataflow::{DataflowInput, Delta, ShardedInput, DEFAULT_INLINE_CUTOVER};
 
 /// A random sequence of deltas over a small record domain.
 fn delta_sequence() -> impl Strategy<Value = Vec<Delta<u32>>> {
@@ -33,6 +34,16 @@ fn edge_delta_sequence() -> impl Strategy<Value = Vec<Delta<(u32, u32)>>> {
             .map(|((a, b), add)| ((a, b), if add { 1.0 } else { -1.0 }))
             .collect()
     })
+}
+
+/// The sharded engines the backend-agreement properties run: shard counts {1, 2, 8},
+/// each at the default (calibrated) inline cutover and with the source pinned to the
+/// pool (`with_cutover(0)`: the lowering keeps the pin, so every non-empty delta batch
+/// of every operator is dispatched on the worker pool).
+fn sharded_configs() -> impl Iterator<Item = (usize, usize)> {
+    [1usize, 2, 8]
+        .into_iter()
+        .flat_map(|n| [(n, DEFAULT_INLINE_CUTOVER), (n, 0)])
 }
 
 fn accumulate(deltas: &[Delta<u32>]) -> WeightedDataset<u32> {
@@ -339,34 +350,38 @@ proptest! {
         let seq_scorer = seq_lowered.l1_scorer(targets.clone());
 
         let mut sharded = Vec::new();
-        for n in [1usize, 2, 8] {
+        for (n, cutover) in sharded_configs() {
             let (input, stream) = ShardedInput::<u32>::new(n);
             let mut streams = ShardedStreamBindings::new(n);
-            streams.bind(&source, stream);
+            streams.bind(&source, stream.with_cutover(cutover));
             let lowered = plan.lower_sharded(&streams);
-            sharded.push((n, input, lowered.collect(), lowered.l1_scorer(targets.clone())));
+            let (out, scorer) = (lowered.collect(), lowered.l1_scorer(targets.clone()));
+            sharded.push((n, cutover, input, out, scorer));
         }
 
         for batch in deltas.chunks(3) {
             seq_input.push(batch);
             let reference = seq_out.snapshot();
-            for (n, input, out, scorer) in &sharded {
+            for (n, cutover, input, out, scorer) in &sharded {
                 input.push(batch);
                 let snapshot = out.snapshot();
-                prop_assert_eq!(snapshot.len(), reference.len(), "{}-shard record set diverged", n);
+                prop_assert_eq!(
+                    snapshot.len(), reference.len(),
+                    "{}-shard (cutover {}) record set diverged", n, cutover
+                );
                 for (record, weight) in reference.iter() {
                     prop_assert_eq!(
                         weight.to_bits(),
                         snapshot.weight(record).to_bits(),
-                        "plan {:?}: {}-shard weight of {:?} diverged",
-                        &program, n, record
+                        "plan {:?}: {}-shard (cutover {}) weight of {:?} diverged",
+                        &program, n, cutover, record
                     );
                 }
                 prop_assert_eq!(
                     seq_scorer.distance().to_bits(),
                     scorer.distance().to_bits(),
-                    "plan {:?}: {}-shard scorer distance diverged",
-                    &program, n
+                    "plan {:?}: {}-shard (cutover {}) scorer distance diverged",
+                    &program, n, cutover
                 );
             }
         }
@@ -448,12 +463,13 @@ proptest! {
         let seq_scorer = seq_lowered.l1_scorer(targets.clone());
 
         let mut sharded = Vec::new();
-        for n in [1usize, 2, 8] {
+        for (n, cutover) in sharded_configs() {
             let (input, stream) = ShardedInput::<(u32, u32)>::new(n);
             let mut streams = ShardedStreamBindings::new(n);
-            streams.bind(&source, stream);
+            streams.bind(&source, stream.with_cutover(cutover));
             let lowered = plan.lower_sharded(&streams);
-            sharded.push((n, input, lowered.collect(), lowered.l1_scorer(targets.clone())));
+            let (out, scorer) = (lowered.collect(), lowered.l1_scorer(targets.clone()));
+            sharded.push((n, cutover, input, out, scorer));
         }
 
         let mut acc = WeightedDataset::new();
@@ -468,23 +484,26 @@ proptest! {
             let batch = [(d.0, d.1), ((d.0.1, d.0.0), d.1)];
             seq_input.push(&batch);
             let reference = seq_out.snapshot();
-            for (n, input, out, scorer) in &sharded {
+            for (n, cutover, input, out, scorer) in &sharded {
                 input.push(&batch);
                 let snapshot = out.snapshot();
-                prop_assert_eq!(snapshot.len(), reference.len(), "{}-shard record set diverged", n);
+                prop_assert_eq!(
+                    snapshot.len(), reference.len(),
+                    "{}-shard (cutover {}) record set diverged", n, cutover
+                );
                 for (record, weight) in reference.iter() {
                     prop_assert_eq!(
                         weight.to_bits(),
                         snapshot.weight(record).to_bits(),
-                        "{}-shard triangle weight of {:?} diverged",
-                        n, record
+                        "{}-shard (cutover {}) triangle weight of {:?} diverged",
+                        n, cutover, record
                     );
                 }
                 prop_assert_eq!(
                     seq_scorer.distance().to_bits(),
                     scorer.distance().to_bits(),
-                    "{}-shard scorer diverged along the trajectory",
-                    n
+                    "{}-shard (cutover {}) scorer diverged along the trajectory",
+                    n, cutover
                 );
             }
         }
@@ -550,4 +569,21 @@ proptest! {
         }
         prop_assert!((scorer.distance() - expected).abs() < 1e-6);
     }
+}
+
+/// Pinning a source with `with_cutover(0)` survives the lowering's cutover calibration:
+/// a two-delta batch, far below every calibrated cutover, is still dispatched on the
+/// pool by the join's key exchange, per-shard update and output exchange on each side.
+#[test]
+fn a_pinned_source_keeps_calibrated_operators_on_the_pool() {
+    let dispatches = || wpinq_telemetry::registry().counter_value(POOL_DISPATCHES_METRIC);
+    let source = Plan::<(u32, u32)>::source();
+    let plan = source.join(&source, |e| e.1, |e| e.0, |x, y| (x.0, y.1));
+    let (input, stream) = ShardedInput::<(u32, u32)>::new(2);
+    let mut streams = ShardedStreamBindings::new(2);
+    streams.bind(&source, stream.with_cutover(0));
+    let _out = plan.lower_sharded(&streams).collect();
+    let before = dispatches();
+    input.push(&[((0, 1), 1.0), ((1, 2), 1.0)]);
+    assert!(dispatches() >= before + 6, "pinned join ran inline");
 }

@@ -37,7 +37,7 @@ use wpinq_core::accumulate::{canonical_norm, Contributions};
 use wpinq_core::column::{cmp_rows, ColumnBatch, ColumnData};
 use wpinq_core::dataset::WeightedDataset;
 use wpinq_core::operators::{join_build_probe, key_accumulator};
-use wpinq_core::shard::{shard_of, ShardRunner, ShardedDataset};
+use wpinq_core::shard::{shard_of, ShardedDataset, WorkerPool};
 use wpinq_core::value::{Value, ValueType};
 use wpinq_core::weights;
 use wpinq_telemetry::metrics::Counter;
@@ -71,35 +71,6 @@ pub fn columnar_enabled() -> bool {
         1 => false,
         2 => true,
         _ => std::env::var(COLUMNAR_ENV).map_or(true, |v| v != "0"),
-    }
-}
-
-/// Environment toggle for radix-partitioned packed-key resolution: set to `0` to keep
-/// the plain sort-merge everywhere (any other value, or unset, leaves radix on). Both
-/// paths resolve the identical canonical accumulation, so the toggle changes performance,
-/// never results.
-pub const RADIX_ENV: &str = "WPINQ_RADIX";
-
-/// Process-wide override: 0 = defer to the environment, 1 = forced off, 2 = forced on.
-static RADIX_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Overrides the [`RADIX_ENV`] toggle for this process (`None` restores deference to the
-/// environment). Lets tests and benches flip strategies without racing on `set_var`.
-pub fn set_radix_override(enabled: Option<bool>) {
-    let code = match enabled {
-        None => 0,
-        Some(false) => 1,
-        Some(true) => 2,
-    };
-    RADIX_OVERRIDE.store(code, Ordering::Relaxed);
-}
-
-/// Whether packed-key resolution should radix-partition instead of sort-merging.
-pub fn radix_enabled() -> bool {
-    match RADIX_OVERRIDE.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => std::env::var(RADIX_ENV).map_or(true, |v| v != "0"),
     }
 }
 
@@ -446,12 +417,12 @@ fn radix_group<const N: usize>(rows: &mut [([u64; N], u64)]) {
 }
 
 /// Makes every equal-key run of `rows` contiguous and internally weight-ordered: the
-/// radix partitioner when enabled and the input is large enough to amortize its bucket
-/// table, the plain packed-key sort otherwise. Both orderings feed the scan identical
+/// radix partitioner when the input is large enough to amortize its bucket table, the
+/// plain packed-key sort otherwise. Both orderings feed the scan identical
 /// groups with identical within-group weight order, so the choice is invisible in
 /// results.
 fn group_packed_rows<const N: usize>(rows: &mut [([u64; N], u64)]) {
-    if radix_enabled() && rows.len() >= RADIX_MIN_ROWS {
+    if rows.len() >= RADIX_MIN_ROWS {
         radix_group(rows);
         note_resolved_rows(STRATEGY_RADIX, rows.len());
     } else {
@@ -1102,10 +1073,7 @@ fn shard_batches(data: &ShardedDataset<Value>, ty: &ValueType) -> Option<Vec<Col
 /// Transposes per-producer column segments and canonically accumulates each destination
 /// shard — the columnar twin of the row exchange, fed by struct-of-arrays segments
 /// instead of `Vec<(Value, f64)>` buckets.
-fn exchange_segments(
-    routed: Vec<Vec<ColumnBatch>>,
-    runner: ShardRunner<'_>,
-) -> ShardedDataset<Value> {
+fn exchange_segments(routed: Vec<Vec<ColumnBatch>>, pool: &WorkerPool) -> ShardedDataset<Value> {
     let n = routed.first().map(Vec::len).expect("at least one producer");
     let mut by_dest: Vec<Vec<ColumnBatch>> = (0..n).map(|_| Vec::new()).collect();
     for producer in routed {
@@ -1114,7 +1082,7 @@ fn exchange_segments(
             by_dest[dest].push(segment);
         }
     }
-    let shards = runner.map(by_dest, |_, segments| {
+    let shards = pool.map(by_dest, |_, segments| {
         if let Some(ty) = segments.first().map(|s| s.ty().clone()) {
             let parts: Vec<(&ColumnData, &[f64])> = segments
                 .iter()
@@ -1143,7 +1111,7 @@ fn exchange_segments(
 /// row exchange, for kernels whose outputs are not plain `Value` records).
 fn exchange_rows<T: wpinq_core::Record>(
     routed: Vec<Vec<Vec<(T, f64)>>>,
-    runner: ShardRunner<'_>,
+    pool: &WorkerPool,
 ) -> ShardedDataset<T> {
     let n = routed.first().map(Vec::len).expect("at least one producer");
     let mut by_dest: Vec<Vec<Vec<(T, f64)>>> = (0..n).map(|_| Vec::new()).collect();
@@ -1153,7 +1121,7 @@ fn exchange_rows<T: wpinq_core::Record>(
             by_dest[dest].push(bucket);
         }
     }
-    let shards = runner.map(by_dest, |_, buckets| {
+    let shards = pool.map(by_dest, |_, buckets| {
         let mut acc = Contributions::new();
         for bucket in buckets {
             for (record, weight) in bucket {
@@ -1171,7 +1139,7 @@ fn exchange_rows<T: wpinq_core::Record>(
 pub fn select_sharded(
     data: &ShardedDataset<Value>,
     expr: &Expr,
-    runner: ShardRunner<'_>,
+    pool: &WorkerPool,
 ) -> Option<ShardedDataset<Value>> {
     let n = data.num_shards();
     let Some(ty) = sharded_ty(data) else {
@@ -1180,7 +1148,7 @@ pub fn select_sharded(
     let program = ExprProgram::compile(expr, &ty).ok()?;
     let batches = shard_batches(data, &ty)?;
     let out_ty = program.out_ty().clone();
-    let routed = runner.for_each(n, |index| {
+    let routed = pool.for_each(n, |index| {
         let batch = &batches[index];
         let out = program.eval_batch(batch);
         let mut segments: Vec<ColumnBatch> =
@@ -1191,7 +1159,7 @@ pub fn select_sharded(
         }
         segments
     });
-    Some(exchange_segments(routed, runner))
+    Some(exchange_segments(routed, pool))
 }
 
 /// Sharded columnar `Where`: masks are shard-local (record identity survives), so the
@@ -1199,7 +1167,7 @@ pub fn select_sharded(
 pub fn filter_sharded(
     data: &ShardedDataset<Value>,
     expr: &Expr,
-    runner: ShardRunner<'_>,
+    pool: &WorkerPool,
 ) -> Option<ShardedDataset<Value>> {
     let n = data.num_shards();
     let Some(ty) = sharded_ty(data) else {
@@ -1207,7 +1175,7 @@ pub fn filter_sharded(
     };
     let program = ExprProgram::compile(expr, &ty).ok()?;
     let batches = shard_batches(data, &ty)?;
-    let shards = runner.for_each(n, |index| {
+    let shards = pool.for_each(n, |index| {
         let batch = &batches[index];
         let mask = program.eval_mask(batch.columns(), batch.len());
         let mut out = WeightedDataset::with_capacity(batch.len());
@@ -1226,7 +1194,7 @@ pub fn filter_sharded(
 pub fn select_many_unit_sharded(
     data: &ShardedDataset<Value>,
     exprs: &[Expr],
-    runner: ShardRunner<'_>,
+    pool: &WorkerPool,
 ) -> Option<ShardedDataset<Value>> {
     let n = data.num_shards();
     if exprs.is_empty() {
@@ -1245,7 +1213,7 @@ pub fn select_many_unit_sharded(
     }
     let batches = shard_batches(data, &ty)?;
     let norm = exprs.len() as f64;
-    let routed = runner.for_each(n, |index| {
+    let routed = pool.for_each(n, |index| {
         let batch = &batches[index];
         let out_cols: Vec<ColumnData> = programs.iter().map(|p| p.eval_batch(batch)).collect();
         let mut segments: Vec<ColumnBatch> =
@@ -1261,7 +1229,7 @@ pub fn select_many_unit_sharded(
         }
         segments
     });
-    Some(exchange_segments(routed, runner))
+    Some(exchange_segments(routed, pool))
 }
 
 /// Sharded columnar `GroupBy`: inputs are exchanged by columnar-evaluated **key** hash as
@@ -1271,7 +1239,7 @@ pub fn group_by_sharded(
     data: &ShardedDataset<Value>,
     key: &Expr,
     reduce: &ReduceSpec,
-    runner: ShardRunner<'_>,
+    pool: &WorkerPool,
 ) -> Option<ShardedDataset<(Value, Value)>> {
     let n = data.num_shards();
     let Some(ty) = sharded_ty(data) else {
@@ -1281,7 +1249,7 @@ pub fn group_by_sharded(
     let batches = shard_batches(data, &ty)?;
     // Exchange inputs by key hash (each record moves with its exact weight; records are
     // globally unique, so no accumulation happens and segments concatenate losslessly).
-    let routed = runner.for_each(n, |index| {
+    let routed = pool.for_each(n, |index| {
         let batch = &batches[index];
         let keys = program.eval_batch(batch);
         let mut segments: Vec<ColumnBatch> = (0..n).map(|_| ColumnBatch::new(ty.clone())).collect();
@@ -1297,7 +1265,7 @@ pub fn group_by_sharded(
         }
     }
     // Each worker reduces its complete key groups, then routes outputs by record hash.
-    let produced = runner.map(by_dest, |_, segments| {
+    let produced = pool.map(by_dest, |_, segments| {
         let part = WeightedDataset::from_pairs(
             segments
                 .iter()
@@ -1310,7 +1278,7 @@ pub fn group_by_sharded(
         }
         routes
     });
-    Some(exchange_rows(produced, runner))
+    Some(exchange_rows(produced, pool))
 }
 
 /// Sharded columnar `Join`: both inputs are exchanged by columnar-evaluated key hash as
@@ -1322,7 +1290,7 @@ pub fn join_sharded(
     key_left: &Expr,
     key_right: &Expr,
     result: &Expr,
-    runner: ShardRunner<'_>,
+    pool: &WorkerPool,
 ) -> Option<ShardedDataset<Value>> {
     let n = a.num_shards();
     if n != b.num_shards() {
@@ -1344,7 +1312,7 @@ pub fn join_sharded(
                       program: &ExprProgram|
      -> Option<Vec<ColumnBatch>> {
         let batches = shard_batches(data, ty)?;
-        let routed = runner.for_each(n, |index| {
+        let routed = pool.for_each(n, |index| {
             let batch = &batches[index];
             let keys = program.eval_batch(batch);
             let mut segments: Vec<ColumnBatch> =
@@ -1369,7 +1337,7 @@ pub fn join_sharded(
     let a_by_key = route_side(a, &ty_a, &prog_a)?;
     let b_by_key = route_side(b, &ty_b, &prog_b)?;
 
-    let produced = runner.map(
+    let produced = pool.map(
         a_by_key.into_iter().zip(b_by_key).collect::<Vec<_>>(),
         |_, (batch_a, batch_b)| {
             let mut routes: Vec<Vec<(Value, f64)>> = (0..n).map(|_| Vec::new()).collect();
@@ -1386,5 +1354,5 @@ pub fn join_sharded(
             routes
         },
     );
-    Some(exchange_rows(produced, runner))
+    Some(exchange_rows(produced, pool))
 }

@@ -174,7 +174,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(JsonError::at(pos, "trailing characters after document"));
@@ -209,6 +209,12 @@ fn write_escaped(out: &mut String, s: &str) {
     }
     out.push('"');
 }
+
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts. The parser
+/// recurses once per level, so an unbounded depth would let one request line of
+/// `[[[[…` overflow the thread's stack and abort the whole process; deeper documents are
+/// a [`JsonError`] instead. The deepest committed wire fixture nests 6 levels.
+pub const MAX_DEPTH: usize = 256;
 
 /// A parse failure with its byte offset.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -251,8 +257,14 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(bytes, pos);
+    if depth >= MAX_DEPTH && matches!(bytes.get(*pos), Some(b'[' | b'{')) {
+        return Err(JsonError::at(
+            *pos,
+            format!("nesting deeper than {MAX_DEPTH} levels"),
+        ));
+    }
     match bytes.get(*pos) {
         None => Err(JsonError::at(*pos, "unexpected end of input")),
         Some(b'n') => parse_keyword(bytes, pos, "null", Json::Null),
@@ -268,7 +280,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -293,7 +305,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 members.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -447,6 +459,22 @@ mod tests {
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("nope").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Json::parse(&objects).is_err());
+        // Far past any thread's stack: rejected at the cap, never recursed into.
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

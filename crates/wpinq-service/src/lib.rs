@@ -56,4 +56,6 @@ pub use service::{
     AUDIT_DROPPED_METRIC, DEFAULT_AUDIT_CAPACITY, DEFAULT_CACHE_CAPACITY, REQUESTS_METRIC,
     REQUEST_HEADER, REQUEST_LATENCY_METRIC, REQUEST_VERSION,
 };
-pub use transport::{serve_metrics, serve_tcp, InProcess, ServerHandle, Tcp, Transport};
+pub use transport::{
+    serve_metrics, serve_tcp, InProcess, ServerHandle, Tcp, Transport, MAX_LINE_BYTES,
+};

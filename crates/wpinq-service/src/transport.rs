@@ -11,7 +11,7 @@
 //!   re-opened after an error).
 //!
 //! The server side is [`serve_tcp`]: a `std::net` accept loop feeding a fixed pool of
-//! named worker threads over an mpsc channel — the same hand-rolled scoped-worker idiom
+//! named worker threads over an mpsc channel — the same hand-rolled worker-pool idiom
 //! as `wpinq_core::shard::WorkerPool`, adapted to long-lived connections (the pool's
 //! blocking `map` would hold a worker hostage per idle socket). No async runtime: the
 //! vendored world has none, and a thread per active connection is exactly the right
@@ -29,12 +29,19 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use wpinq_expr::WireError;
+
 use crate::client::ClientError;
-use crate::service::MeasurementService;
+use crate::service::{MeasurementService, ServiceError};
 
 /// How long a server worker waits on an idle socket before re-checking the shutdown
 /// flag. Bounds shutdown latency; invisible to clients otherwise.
 const IDLE_POLL: Duration = Duration::from_millis(50);
+
+/// The longest request line (excluding its newline) a TCP server connection buffers. A
+/// longer line is answered with one `wire` error line and the connection is closed, so
+/// a peer that never sends a newline cannot grow a worker's buffer without bound.
+pub const MAX_LINE_BYTES: usize = 4 << 20;
 
 /// A bidirectional line transport: one request envelope in, one response envelope out.
 ///
@@ -199,7 +206,7 @@ pub fn serve_tcp(
     let addr = listener.local_addr()?;
     let shutdown = Arc::new(AtomicBool::new(false));
 
-    // The scoped-worker idiom of `wpinq_core::shard::WorkerPool`, with an mpsc queue of
+    // The worker-pool idiom of `wpinq_core::shard::WorkerPool`, with an mpsc queue of
     // connections instead of a blocking map: accepted sockets are handed to whichever
     // worker frees up first.
     let (tx, rx) = mpsc::channel::<TcpStream>();
@@ -348,11 +355,19 @@ fn handle_connection(service: &MeasurementService, stream: TcpStream, shutdown: 
     let _ = stream.set_nodelay(true);
     let mut stream = stream;
     let mut pending: Vec<u8> = Vec::new();
+    // `pending[..scanned]` is known to hold no newline: each read only scans new bytes.
+    let mut scanned = 0;
     let mut chunk = [0u8; 4096];
     loop {
         // Serve every complete line buffered so far. Partial lines stay in `pending`
         // across reads — a request split over TCP segments is reassembled, never lost.
-        while let Some(end) = pending.iter().position(|&b| b == b'\n') {
+        while let Some(offset) = pending[scanned..].iter().position(|&b| b == b'\n') {
+            let end = scanned + offset;
+            scanned = 0;
+            if end > MAX_LINE_BYTES {
+                reject_long_line(&mut stream);
+                return;
+            }
             let line: Vec<u8> = pending.drain(..=end).collect();
             let Ok(text) = std::str::from_utf8(&line[..end]) else {
                 return; // Non-UTF-8 request: drop the connection.
@@ -370,6 +385,11 @@ fn handle_connection(service: &MeasurementService, stream: TcpStream, shutdown: 
                 return;
             }
         }
+        scanned = pending.len();
+        if scanned > MAX_LINE_BYTES {
+            reject_long_line(&mut stream);
+            return;
+        }
         if shutdown.load(Ordering::SeqCst) {
             return;
         }
@@ -386,4 +406,14 @@ fn handle_connection(service: &MeasurementService, stream: TcpStream, shutdown: 
             Err(_) => return,
         }
     }
+}
+
+/// Answers a request line over [`MAX_LINE_BYTES`] with one `wire` error line.
+fn reject_long_line(stream: &mut TcpStream) {
+    let error = WireError::new(format!("request line exceeds {MAX_LINE_BYTES} bytes"));
+    let mut response = ServiceError::Wire(error).to_json_with_id(None).to_compact();
+    response.push('\n');
+    let _ = stream
+        .write_all(response.as_bytes())
+        .and_then(|()| stream.flush());
 }

@@ -14,20 +14,19 @@ use wpinq_analyses::edges::{symmetric_edge_dataset, EDGES_DATASET};
 use wpinq_analyses::jdd::{jdd_plan, jdd_plan_expr};
 use wpinq_analyses::squares::{sbd_plan, sbd_plan_expr};
 use wpinq_analyses::triangles::{tbd_plan, tbd_plan_expr};
-use wpinq_expr::{set_columnar_override, set_radix_override, Json};
+use wpinq_expr::{set_columnar_override, Json};
 use wpinq_graph::Graph;
 use wpinq_service::{release_to_json, MeasureRequest, MeasurementService, ResponseEncoding};
 
 const SEED: u64 = 2014;
 const EPSILON: f64 = 0.25;
 
-/// Restores the process-wide columnar/radix overrides when the test scope exits.
+/// Restores the process-wide columnar override when the test scope exits.
 struct OverrideGuard;
 
 impl Drop for OverrideGuard {
     fn drop(&mut self) {
         set_columnar_override(None);
-        set_radix_override(None);
     }
 }
 
@@ -89,27 +88,20 @@ fn local_release<T: ExprRecord>(
 }
 
 fn check<T: ExprRecord>(name: &str, graph: &Graph, plan: &Plan<T>, typed_reference: &str) {
-    // The full engine matrix: WPINQ_COLUMNAR × WPINQ_RADIX (radix only participates on
-    // the columnar path, but every cell must release the same bytes regardless).
     set_columnar_override(Some(false));
-    set_radix_override(None);
     let (row_release, row_charged) = measure(graph, plan);
-    for radix in [false, true] {
-        set_columnar_override(Some(true));
-        set_radix_override(Some(radix));
-        let (col_release, col_charged) = measure(graph, plan);
-        assert_eq!(
-            col_release, row_release,
-            "{name}: columnar release bytes drifted from the row interpreter (radix={radix})"
-        );
-        assert_eq!(
-            col_charged.to_bits(),
-            row_charged.to_bits(),
-            "{name}: columnar path charged a different budget (radix={radix})"
-        );
-    }
+    set_columnar_override(Some(true));
+    let (col_release, col_charged) = measure(graph, plan);
     set_columnar_override(None);
-    set_radix_override(None);
+    assert_eq!(
+        col_release, row_release,
+        "{name}: columnar release bytes drifted from the row interpreter"
+    );
+    assert_eq!(
+        col_charged.to_bits(),
+        row_charged.to_bits(),
+        "{name}: columnar path charged a different budget"
+    );
 
     assert_eq!(
         row_release, typed_reference,

@@ -16,7 +16,9 @@ use std::sync::Arc;
 
 use wpinq::plan::executor_for_threads;
 use wpinq::{Expr, Plan, PrivacyBudget, WeightedDataset};
-use wpinq_service::{serve_tcp, Client, ClientError, InProcess, MeasurementService, Tcp};
+use wpinq_service::{
+    serve_tcp, Client, ClientError, InProcess, MeasurementService, Tcp, MAX_LINE_BYTES,
+};
 
 fn edge_data() -> WeightedDataset<(u32, u32)> {
     let undirected = [(0u32, 1u32), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4), (4, 5)];
@@ -364,4 +366,41 @@ fn cache_keys_separate_analysts_epsilons_and_plans() {
     assert_eq!(service.cache_stats().hits, 0);
     assert!((service.remaining("alice", "edges").unwrap() - 4.25).abs() < 1e-12);
     assert!((service.remaining("bob", "edges").unwrap() - 4.5).abs() < 1e-12);
+}
+
+/// A request line longer than `MAX_LINE_BYTES` gets one `wire` error line and its
+/// connection is closed, instead of growing the worker's buffer without bound. The
+/// single worker then serves a normal measurement on a new connection.
+#[test]
+fn an_over_long_request_line_is_a_wire_error_and_closes_the_connection() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let service = Arc::new(MeasurementService::new());
+    service.register("edges", &edge_data()).unwrap();
+    service
+        .grant("alice", "edges", PrivacyBudget::new(1.0))
+        .unwrap();
+    let server = serve_tcp(service.clone(), "127.0.0.1:0", 1).expect("loopback server");
+    let addr = server.local_addr().to_string();
+
+    let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
+    let patience = std::time::Duration::from_secs(10);
+    stream.set_read_timeout(Some(patience)).unwrap();
+    stream
+        .write_all(&vec![b' '; MAX_LINE_BYTES + 1])
+        .expect("the server reads the whole over-long line");
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("one response line");
+    let response = wpinq_expr::Json::parse(line.trim_end()).expect("response is JSON");
+    let code = response.get("error").and_then(|e| e.get("code"));
+    assert_eq!(code.and_then(wpinq_expr::Json::as_str), Some("wire"));
+    line.clear();
+    assert_eq!(reader.read_line(&mut line).unwrap(), 0, "connection closed");
+
+    let client = Client::new(Tcp::new(addr), "alice");
+    client
+        .measure_with_id::<u64>(&degree_plan("edges"), 0.5, None)
+        .expect("the worker keeps serving");
+    server.shutdown();
 }

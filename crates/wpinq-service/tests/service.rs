@@ -27,6 +27,7 @@ use wpinq_expr::Json;
 use wpinq_graph::Graph;
 use wpinq_service::{
     release_to_json, MeasureRequest, MeasurementService, ResponseEncoding, ServiceClient,
+    REQUEST_HEADER,
 };
 
 const SEED: u64 = 2014;
@@ -300,4 +301,35 @@ fn redundant_requests_are_charged_for_the_deduplicated_plan() {
     let local = local_release(&degree_ccdf_plan(&source), &source, &graph);
     let parsed = Json::parse(&release.raw).unwrap();
     assert_eq!(parsed.get("release").unwrap().to_compact(), local);
+}
+
+/// A request line nested far past the JSON parser's depth cap is answered with a `wire`
+/// error, whether or not it carries the request header — it used to overflow the
+/// parser's stack and abort the whole process. The service then serves a normal
+/// measurement.
+#[test]
+fn a_deeply_nested_request_line_is_a_wire_error_not_a_crash() {
+    let graph = toy_graph();
+    let service = service_with(&graph, "alice", 10.0);
+    let nested = "[".repeat(200_000);
+    let with_header = format!("{{\"{REQUEST_HEADER}\":{nested}");
+    for line in [nested.as_str(), with_header.as_str()] {
+        let response = Json::parse(&service.handle_line(line)).expect("response is JSON");
+        assert_eq!(response.get("ok").and_then(Json::as_bool), Some(false));
+        let code = response.get("error").and_then(|e| e.get("code"));
+        assert_eq!(code.and_then(Json::as_str), Some("wire"));
+    }
+
+    let source = Plan::<(u32, u32)>::source_expr(EDGES_DATASET);
+    let request = MeasureRequest {
+        analyst: "alice".to_string(),
+        epsilon: EPSILON,
+        spec: edge_count_plan_expr(&source).to_spec().unwrap(),
+        id: None,
+        trace: false,
+        encoding: ResponseEncoding::Json,
+    };
+    let response = Json::parse(&service.handle_line(&request.to_json_string())).unwrap();
+    assert_eq!(response.get("ok").and_then(Json::as_bool), Some(true));
+    assert!(service.remaining("alice", EDGES_DATASET).unwrap() < 10.0);
 }

@@ -9,8 +9,8 @@
 //! * **Batch evaluation** plugs in through [`Executor`]:
 //!   [`SequentialExecutor`] (the reference single-threaded fold through
 //!   `wpinq_core::operators`) or [`ShardedExecutor`] (hash-partitioned shard-parallel
-//!   kernels, `wpinq_core::shard`, dispatching on a long-lived shared [`WorkerPool`] by
-//!   default or fresh scoped workers via [`ShardedExecutor::scoped`]).
+//!   kernels, `wpinq_core::shard`, dispatching on the process-shared
+//!   [`WorkerPool`](wpinq_core::shard::WorkerPool) for its shard count).
 //! * **Incremental lowering** plugs in through [`IncrementalEngine`]: the sequential
 //!   `wpinq_dataflow::Stream` graph, or the hash-partitioned
 //!   [`ShardedStream`](wpinq_dataflow::ShardedStream) engine whose per-operator delta
@@ -29,8 +29,6 @@
 //! [`IncrementalEngine::from_env`]); [`default_backend`] pairs both.
 
 use std::sync::Arc;
-
-use wpinq_core::shard::WorkerPool;
 
 /// Environment variable selecting the default shard/thread count (`1` = sequential).
 pub const THREADS_ENV: &str = "WPINQ_THREADS";
@@ -52,13 +50,6 @@ pub trait Executor: std::fmt::Debug + Send + Sync {
 
     /// Short human-readable strategy name for logs and diagnostics.
     fn name(&self) -> &'static str;
-
-    /// The long-lived worker pool shard kernels should dispatch on, when this strategy
-    /// owns one. `None` (the default) falls back to fresh scoped threads per exchange —
-    /// the reference strategy, bitwise identical but with per-call spawn cost.
-    fn pool(&self) -> Option<&WorkerPool> {
-        None
-    }
 }
 
 /// The single-threaded reference strategy: folds the operator DAG through the sequential
@@ -80,41 +71,26 @@ impl Executor for SequentialExecutor {
 /// every operator on `n` worker threads, producing bitwise-identical results to
 /// [`SequentialExecutor`].
 ///
-/// By default ([`new`](Self::new)) the executor holds a handle to the process-shared
-/// [`WorkerPool`] for its shard count, so every evaluation dispatches onto the same
-/// long-lived workers and steady-state query evaluation spawns zero threads. The
-/// [`scoped`](Self::scoped) constructor opts back into fresh `std::thread::scope` workers
-/// per exchange — the reference strategy the equivalence tests compare against.
+/// Every evaluation dispatches onto the process-shared
+/// [`WorkerPool`](wpinq_core::shard::WorkerPool) for the shard count, so steady-state
+/// query evaluation spawns zero threads.
 #[derive(Debug, Clone)]
 pub struct ShardedExecutor {
     shards: usize,
-    pool: Option<Arc<WorkerPool>>,
 }
 
-/// Upper bound on shard counts ([`ShardedExecutor::new`] clamps to it). Each shard is an
-/// OS thread per operator stage, so a typo like `WPINQ_THREADS=200000` must degrade to a
+/// Upper bound on shard counts ([`ShardedExecutor::new`] clamps to it). Each shard is a
+/// pool worker thread, so a typo like `WPINQ_THREADS=200000` must degrade to a
 /// large-but-survivable fan-out instead of aborting at the OS thread limit. Deliberate
 /// oversharding (more shards than cores, as the equivalence tests do) stays possible.
 pub const MAX_SHARDS: usize = 256;
 
 impl ShardedExecutor {
-    /// Creates a pooled executor with the given shard count (clamped to
-    /// `1..=`[`MAX_SHARDS`]), sharing the process-wide [`WorkerPool`] for that count.
-    /// Single-shard executors take the sequential evaluation path and hold no pool.
+    /// Creates an executor with the given shard count (clamped to `1..=`[`MAX_SHARDS`]).
+    /// Single-shard executors take the sequential evaluation path.
     pub fn new(shards: usize) -> Self {
-        let shards = shards.clamp(1, MAX_SHARDS);
-        ShardedExecutor {
-            shards,
-            pool: (shards > 1).then(|| WorkerPool::shared(shards)),
-        }
-    }
-
-    /// Creates an executor that spawns fresh scoped workers per exchange instead of
-    /// pooling — the reference strategy, bitwise identical to the pooled one.
-    pub fn scoped(shards: usize) -> Self {
         ShardedExecutor {
             shards: shards.clamp(1, MAX_SHARDS),
-            pool: None,
         }
     }
 
@@ -139,10 +115,6 @@ impl Executor for ShardedExecutor {
 
     fn name(&self) -> &'static str {
         "sharded"
-    }
-
-    fn pool(&self) -> Option<&WorkerPool> {
-        self.pool.as_deref()
     }
 }
 
@@ -370,28 +342,6 @@ mod tests {
             IncrementalEngine::Sequential.name(),
             IncrementalEngine::Sharded(2).name()
         );
-    }
-
-    #[test]
-    fn pooled_and_scoped_executors_expose_their_strategy() {
-        // Multi-shard executors share the process pool for their shard count.
-        let a = ShardedExecutor::new(4);
-        let b = ShardedExecutor::new(4);
-        let pool_a = a.pool().expect("pooled by default");
-        let pool_b = b.pool().expect("pooled by default");
-        assert_eq!(pool_a.workers(), 4);
-        assert!(
-            std::ptr::eq(pool_a, pool_b),
-            "same shard count shares one pool"
-        );
-        // Single-shard evaluation is sequential, so no pool is held.
-        assert!(ShardedExecutor::new(1).pool().is_none());
-        // The scoped reference strategy never pools, and the default trait impl is None.
-        assert!(ShardedExecutor::scoped(4).pool().is_none());
-        assert!(Executor::pool(&SequentialExecutor).is_none());
-        // Cloning (as Backend::executor does) keeps the same pool handle.
-        let cloned = a.clone();
-        assert!(std::ptr::eq(a.pool().unwrap(), cloned.pool().unwrap()));
     }
 
     #[test]

@@ -86,7 +86,7 @@ use std::sync::Arc;
 
 use wpinq_core::dataset::WeightedDataset;
 use wpinq_core::record::Record;
-use wpinq_core::shard::{ShardRunner, ShardedDataset};
+use wpinq_core::shard::{ShardedDataset, WorkerPool};
 use wpinq_core::value::{ExprRecord, Value, ValueType};
 use wpinq_dataflow::Stream;
 use wpinq_expr::{Expr, PlanSpec, ReduceSpec};
@@ -425,12 +425,8 @@ impl<T: Record> Plan<T> {
             // reference and the dataset moves out without a copy.
             return Arc::try_unwrap(shared).unwrap_or_else(|rc| (*rc).clone());
         }
-        // Dispatch per-shard work on the executor's persistent worker pool when it has
-        // one; scoped threads remain the reference path (bitwise identical either way).
-        let runner = executor
-            .pool()
-            .map_or(ShardRunner::Scoped, ShardRunner::Pooled);
-        let mut ctx = ShardCtx::new(bindings, shards, runner);
+        let pool = WorkerPool::shared(shards);
+        let mut ctx = ShardCtx::new(bindings, shards, &pool);
         let sharded = plan.eval_shards_node(&mut ctx);
         drop(ctx);
         Arc::try_unwrap(sharded)
@@ -516,10 +512,8 @@ impl<T: Record> Plan<T> {
             let nodes = ctx.analyze.take().expect("analyze collector present");
             (out, nodes.finish())
         } else {
-            let runner = executor
-                .pool()
-                .map_or(ShardRunner::Scoped, ShardRunner::Pooled);
-            let mut ctx = ShardCtx::with_analyze(bindings, shards, runner);
+            let pool = WorkerPool::shared(shards);
+            let mut ctx = ShardCtx::with_analyze(bindings, shards, &pool);
             let sharded = plan.eval_shards_node(&mut ctx);
             let nodes = ctx.analyze.take().expect("analyze collector present");
             drop(ctx);

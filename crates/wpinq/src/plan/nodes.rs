@@ -9,7 +9,7 @@
 //! recurse through their parents.
 //!
 //! Closures are stored as `Arc<dyn Fn … + Send + Sync>` so the sharded executor can call
-//! them from `std::thread::scope` workers by reference.
+//! them from worker-pool threads by reference.
 
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
@@ -18,7 +18,7 @@ use std::sync::Arc;
 use wpinq_core::dataset::WeightedDataset;
 use wpinq_core::operators as batch;
 use wpinq_core::record::Record;
-use wpinq_core::shard::{self, ShardRunner, ShardedDataset};
+use wpinq_core::shard::{self, ShardedDataset, WorkerPool};
 use wpinq_core::value::{Value, ValueType};
 use wpinq_dataflow::{DataflowInput, ShardedInput, ShardedStream, Stream, DEFAULT_INLINE_CUTOVER};
 use wpinq_expr::{Expr, ReduceSpec, SpecNode};
@@ -101,18 +101,26 @@ const DEFAULT_SOURCE_CARD: f64 = 1024.0;
 /// round-trips always dominate at that scale.
 const MIN_CALIBRATED_CUTOVER: usize = 32;
 
-/// Scales the default inline/parallel cutover by an operator's estimated per-delta cost:
+/// Sets `stream`'s inline/parallel cutover from an operator's estimated per-delta cost:
 /// an operator expected to do `per_delta_cost`× the work of a plain map amortises the
 /// pool's dispatch overhead that much sooner, so its cutover drops proportionally
 /// (floored at [`MIN_CALIBRATED_CUTOVER`]). On effectively single-core hosts the default
-/// stays in force — fanning out earlier cannot help without parallel hardware. Purely a
-/// scheduling choice: results are bitwise identical on either side of the cutover.
-fn calibrated_cutover(per_delta_cost: f64) -> usize {
-    let base = DEFAULT_INLINE_CUTOVER;
-    if available_threads() <= 1 || !per_delta_cost.is_finite() || per_delta_cost <= 1.0 {
-        return base;
+/// stays in force — fanning out earlier cannot help without parallel hardware. A stream
+/// pinned to the pool (`with_cutover(0)`) stays pinned, so pinning a source puts every
+/// downstream batch on the pool. Purely a scheduling choice: results are bitwise
+/// identical on either side of the cutover.
+fn calibrated<T: Record>(stream: ShardedStream<T>, per_delta_cost: f64) -> ShardedStream<T> {
+    if stream.cutover() == 0 {
+        return stream;
     }
-    ((base as f64 / per_delta_cost).ceil() as usize).max(MIN_CALIBRATED_CUTOVER)
+    let base = DEFAULT_INLINE_CUTOVER;
+    let cutover =
+        if available_threads() <= 1 || !per_delta_cost.is_finite() || per_delta_cost <= 1.0 {
+            base
+        } else {
+            ((base as f64 / per_delta_cost).ceil() as usize).max(MIN_CALIBRATED_CUTOVER)
+        };
+    stream.with_cutover(cutover)
 }
 
 /// Behaviour of one plan node, dispatched through `Arc<dyn PlanNode<T>>`.
@@ -337,20 +345,18 @@ impl<'a> BatchCtx<'a> {
 pub(crate) struct ShardCtx<'a> {
     bindings: &'a PlanBindings,
     nshards: usize,
-    /// How per-shard work is dispatched: on the executor's persistent [`WorkerPool`]
-    /// (`ShardRunner::Pooled`) or on freshly scoped threads (`ShardRunner::Scoped`, the
-    /// reference path). Both produce bitwise-identical results.
-    runner: ShardRunner<'a>,
+    /// The long-lived workers per-shard work is dispatched on.
+    pool: &'a WorkerPool,
     memo: HashMap<usize, Box<dyn Any>>,
     pub(crate) analyze: Option<AnalyzeCollector>,
 }
 
 impl<'a> ShardCtx<'a> {
-    pub(crate) fn new(bindings: &'a PlanBindings, nshards: usize, runner: ShardRunner<'a>) -> Self {
+    pub(crate) fn new(bindings: &'a PlanBindings, nshards: usize, pool: &'a WorkerPool) -> Self {
         ShardCtx {
             bindings,
             nshards: nshards.max(1),
-            runner,
+            pool,
             memo: HashMap::new(),
             analyze: None,
         }
@@ -359,9 +365,9 @@ impl<'a> ShardCtx<'a> {
     pub(crate) fn with_analyze(
         bindings: &'a PlanBindings,
         nshards: usize,
-        runner: ShardRunner<'a>,
+        pool: &'a WorkerPool,
     ) -> Self {
-        let mut ctx = ShardCtx::new(bindings, nshards, runner);
+        let mut ctx = ShardCtx::new(bindings, nshards, pool);
         ctx.analyze = Some(AnalyzeCollector::new());
         ctx
     }
@@ -376,8 +382,8 @@ impl<'a> ShardCtx<'a> {
         }
     }
 
-    pub(crate) fn runner(&self) -> ShardRunner<'a> {
-        self.runner
+    pub(crate) fn pool(&self) -> &'a WorkerPool {
+        self.pool
     }
 
     pub(crate) fn lookup<T: Record>(&self, key: usize) -> Option<Arc<ShardedDataset<T>>> {
@@ -819,13 +825,13 @@ impl<T: Record, U: Record> PlanNode<U> for SelectNode<T, U> {
         let parent = self.parent.eval_shards_node(ctx);
         if let Some(expr) = &self.expr {
             let rows = parent.len() as u64;
-            if let Some(out) = columnar::try_select_shards(&parent, expr, ctx.runner()) {
+            if let Some(out) = columnar::try_select_shards(&parent, expr, ctx.pool()) {
                 ctx.note_kernel("columnar", rows);
                 return Arc::new(out);
             }
             ctx.note_kernel("row", rows);
         }
-        Arc::new(shard::select(&parent, &*self.f, ctx.runner()))
+        Arc::new(shard::select(&parent, &*self.f, ctx.pool()))
     }
 
     fn lower(&self, ctx: &mut LowerCtx<'_>) -> Stream<U> {
@@ -986,13 +992,13 @@ impl<T: Record> PlanNode<T> for FilterNode<T> {
         let parent = self.parent.eval_shards_node(ctx);
         if let Some(expr) = &self.expr {
             let rows = parent.len() as u64;
-            if let Some(out) = columnar::try_filter_shards(&parent, expr, ctx.runner()) {
+            if let Some(out) = columnar::try_filter_shards(&parent, expr, ctx.pool()) {
                 ctx.note_kernel("columnar", rows);
                 return Arc::new(out);
             }
             ctx.note_kernel("row", rows);
         }
-        Arc::new(shard::filter(&parent, &*self.predicate, ctx.runner()))
+        Arc::new(shard::filter(&parent, &*self.predicate, ctx.pool()))
     }
 
     fn lower(&self, ctx: &mut LowerCtx<'_>) -> Stream<T> {
@@ -1185,14 +1191,14 @@ impl<T: Record, U: Record> PlanNode<U> for SelectManyNode<T, U> {
         if let Some(payload) = &self.exprs {
             let rows = parent.len() as u64;
             if let Some(out) =
-                columnar::try_select_many_unit_shards(&parent, &payload.exprs, ctx.runner())
+                columnar::try_select_many_unit_shards(&parent, &payload.exprs, ctx.pool())
             {
                 ctx.note_kernel("columnar", rows);
                 return Arc::new(out);
             }
             ctx.note_kernel("row", rows);
         }
-        Arc::new(shard::select_many(&parent, &*self.f, ctx.runner()))
+        Arc::new(shard::select_many(&parent, &*self.f, ctx.pool()))
     }
 
     fn lower(&self, ctx: &mut LowerCtx<'_>) -> Stream<U> {
@@ -1203,12 +1209,8 @@ impl<T: Record, U: Record> PlanNode<U> for SelectManyNode<T, U> {
     fn lower_sharded(&self, ctx: &mut LowerShardedCtx<'_>) -> ShardedStream<U> {
         // Each input delta expands into ~FANOUT_ESTIMATE productions, so the operator
         // amortises pool dispatch sooner than a plain map: calibrate its cutover down.
-        let cutover = calibrated_cutover(FANOUT_ESTIMATE);
         let f = self.f.clone();
-        self.parent
-            .lower_sharded_node(ctx)
-            .with_cutover(cutover)
-            .select_many(move |r| f(r))
+        calibrated(self.parent.lower_sharded_node(ctx), FANOUT_ESTIMATE).select_many(move |r| f(r))
     }
 
     fn multiplicities(&self, ctx: &mut MultCtx) -> BTreeMap<InputId, u32> {
@@ -1384,7 +1386,7 @@ impl<T: Record, K: Record, R: Record> PlanNode<(K, R)> for GroupByNode<T, K, R> 
         let parent = self.parent.eval_shards_node(ctx);
         if let Some((key, reduce)) = &self.exprs {
             let rows = parent.len() as u64;
-            if let Some(out) = columnar::try_group_by_shards(&parent, key, reduce, ctx.runner()) {
+            if let Some(out) = columnar::try_group_by_shards(&parent, key, reduce, ctx.pool()) {
                 ctx.note_kernel("columnar", rows);
                 return Arc::new(out);
             }
@@ -1394,7 +1396,7 @@ impl<T: Record, K: Record, R: Record> PlanNode<(K, R)> for GroupByNode<T, K, R> 
             &parent,
             &*self.key,
             &*self.reduce,
-            ctx.runner(),
+            ctx.pool(),
         ))
     }
 
@@ -1410,12 +1412,9 @@ impl<T: Record, K: Record, R: Record> PlanNode<(K, R)> for GroupByNode<T, K, R> 
         // A delta touching a group re-reduces the whole group: per-delta cost grows with
         // the expected group population, estimated as sqrt of the input cardinality.
         let cost = ctx.card_of(&self.parent).sqrt().max(1.0);
-        let cutover = calibrated_cutover(cost);
         let key = self.key.clone();
         let reduce = self.reduce.clone();
-        self.parent
-            .lower_sharded_node(ctx)
-            .with_cutover(cutover)
+        calibrated(self.parent.lower_sharded_node(ctx), cost)
             .group_by(move |r| key(r), move |g| reduce(g))
     }
 
@@ -1538,7 +1537,7 @@ impl<T: Record> PlanNode<(T, u64)> for ShaveNode<T> {
 
     fn eval_shards(&self, ctx: &mut ShardCtx<'_>) -> Arc<ShardedDataset<(T, u64)>> {
         let parent = self.parent.eval_shards_node(ctx);
-        Arc::new(shard::shave(&parent, &*self.schedule, ctx.runner()))
+        Arc::new(shard::shave(&parent, &*self.schedule, ctx.pool()))
     }
 
     fn lower(&self, ctx: &mut LowerCtx<'_>) -> Stream<(T, u64)> {
@@ -1548,12 +1547,8 @@ impl<T: Record> PlanNode<(T, u64)> for ShaveNode<T> {
 
     fn lower_sharded(&self, ctx: &mut LowerShardedCtx<'_>) -> ShardedStream<(T, u64)> {
         // Like SelectMany: each delta expands into ~FANOUT_ESTIMATE weight slices.
-        let cutover = calibrated_cutover(FANOUT_ESTIMATE);
         let schedule = self.schedule.clone();
-        self.parent
-            .lower_sharded_node(ctx)
-            .with_cutover(cutover)
-            .shave(move |r| schedule(r))
+        calibrated(self.parent.lower_sharded_node(ctx), FANOUT_ESTIMATE).shave(move |r| schedule(r))
     }
 
     fn multiplicities(&self, ctx: &mut MultCtx) -> BTreeMap<InputId, u32> {
@@ -1835,7 +1830,7 @@ impl<A: Record, B: Record, K: Record, R: Record> PlanNode<R> for JoinNode<A, B, 
                 &payload.key_left,
                 &payload.key_right,
                 &payload.result,
-                ctx.runner(),
+                ctx.pool(),
             ) {
                 ctx.note_kernel("columnar", rows);
                 return Arc::new(out);
@@ -1848,7 +1843,7 @@ impl<A: Record, B: Record, K: Record, R: Record> PlanNode<R> for JoinNode<A, B, 
             &*self.key_left,
             &*self.key_right,
             &*self.result,
-            ctx.runner(),
+            ctx.pool(),
         ))
     }
 
@@ -1874,9 +1869,8 @@ impl<A: Record, B: Record, K: Record, R: Record> PlanNode<R> for JoinNode<A, B, 
         let cost = (ctx.card_of(&self.left) + ctx.card_of(&self.right))
             .sqrt()
             .max(1.0);
-        let cutover = calibrated_cutover(cost);
-        let left = self.left.lower_sharded_node(ctx).with_cutover(cutover);
-        let right = self.right.lower_sharded_node(ctx).with_cutover(cutover);
+        let left = calibrated(self.left.lower_sharded_node(ctx), cost);
+        let right = calibrated(self.right.lower_sharded_node(ctx), cost);
         let key_left = self.key_left.clone();
         let key_right = self.key_right.clone();
         let result = self.result.clone();
@@ -2102,12 +2096,12 @@ impl<T: Record> PlanNode<T> for BinaryNode<T> {
     fn eval_shards(&self, ctx: &mut ShardCtx<'_>) -> Arc<ShardedDataset<T>> {
         let left = self.left.eval_shards_node(ctx);
         let right = self.right.eval_shards_node(ctx);
-        let runner = ctx.runner();
+        let pool = ctx.pool();
         Arc::new(match self.kind {
-            BinaryKind::Union => shard::union(&left, &right, runner),
-            BinaryKind::Intersect => shard::intersect(&left, &right, runner),
-            BinaryKind::Concat => shard::concat(&left, &right, runner),
-            BinaryKind::Except => shard::except(&left, &right, runner),
+            BinaryKind::Union => shard::union(&left, &right, pool),
+            BinaryKind::Intersect => shard::intersect(&left, &right, pool),
+            BinaryKind::Concat => shard::concat(&left, &right, pool),
+            BinaryKind::Except => shard::except(&left, &right, pool),
         })
     }
 

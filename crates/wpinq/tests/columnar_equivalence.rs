@@ -8,10 +8,6 @@
 //! produce the same weighted dataset down to the last float bit: the columnar kernels
 //! feed the same canonical accumulators the same contribution multisets, so any
 //! divergence is a kernel bug, not noise.
-//!
-//! The CI test matrix crosses `WPINQ_COLUMNAR={0,1}` with `WPINQ_INLINE_CUTOVER={0,
-//! default}` (and the thread/optimize/incremental axes), so this property is also
-//! exercised with every sharded delta batch forced onto the worker pool.
 
 use proptest::prelude::*;
 

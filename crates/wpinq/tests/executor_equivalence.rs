@@ -208,28 +208,6 @@ proptest! {
         }
     }
 
-    /// The worker-pool dispatch path is bitwise-neutral: evaluating on a pooled executor
-    /// (`ShardedExecutor::new`, persistent channel-fed workers), a scoped executor
-    /// (`ShardedExecutor::scoped`, per-call `std::thread::scope` spawns), and the
-    /// sequential reference all produce the same bits for every shard count.
-    #[test]
-    fn pooled_scoped_and_sequential_executors_are_bitwise_identical(
-        program in proptest::collection::vec(plan_op(), 1..10),
-        data in delta_dataset(),
-    ) {
-        let source = Plan::<u32>::source();
-        let plan = build_plan(&source, &program);
-        let mut bindings = PlanBindings::new();
-        bindings.bind(&source, data);
-        let sequential = plan.eval_with(&bindings, &SequentialExecutor);
-        for n in SHARD_COUNTS {
-            let pooled = plan.eval_with(&bindings, &ShardedExecutor::new(n));
-            let scoped = plan.eval_with(&bindings, &ShardedExecutor::scoped(n));
-            assert_bitwise_eq(&pooled, &sequential, n);
-            assert_bitwise_eq(&scoped, &sequential, n);
-        }
-    }
-
     /// The `==` operator agrees too (it compares weights exactly), and the executors are
     /// also self-consistent across repeated evaluations.
     #[test]

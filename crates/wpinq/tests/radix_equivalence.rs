@@ -1,21 +1,24 @@
-//! Property + scale tests: the radix-partitioned packed-key resolver is **bitwise
+//! Property + scale tests: the packed-key resolvers of the columnar engine are **bitwise
 //! invisible**.
 //!
-//! The columnar engine resolves contribution rows into canonical per-record totals three
-//! ways: radix partition + per-partition sort over packed `[u64; N]` keys (the default
-//! above the partitioning threshold), a global packed-key sort-merge (`WPINQ_RADIX=0`,
-//! and any merge below the threshold), and hash-map accumulation (shapes with no packed
-//! form, and the row interpreter). All three must produce the same weighted dataset down
-//! to the last float bit, over random plan shapes, duplicate-heavy keys, negative and
-//! negligible weights, across executors {sequential, 2 shards, 8 shards}.
+//! The columnar engine resolves contribution rows into canonical per-record totals over
+//! packed `[u64; N]` keys, by size: a radix partition + per-partition sort for merges of
+//! at least ~8k rows, a global packed-key sort-merge below that. The row interpreter
+//! resolves the same contributions by hash-map accumulation. Both columnar resolutions
+//! must produce the row interpreter's weighted dataset down to the last float bit, over
+//! random plan shapes, duplicate-heavy keys, negative and negligible weights, across
+//! executors {sequential, 2 shards, 8 shards}.
 //!
-//! The random-plan property stays small (it pins the packed/hash seams); the scale test
-//! pushes tens of thousands of rows through one merge so the radix partitioner really
-//! runs (it only engages above ~8k rows per merge).
+//! The random-plan property stays small, so its merges take the sort-merge; the scale
+//! test pushes tens of thousands of rows through one merge so the radix partitioner
+//! really runs. Each asserts through `wpinq_resolved_rows_total{strategy}` that its
+//! resolver actually ran.
+
+use std::sync::{Mutex, PoisonError};
 
 use proptest::prelude::*;
 
-use wpinq::expr::{set_columnar_override, set_radix_override};
+use wpinq::expr::{set_columnar_override, STRATEGY_HASH, STRATEGY_RADIX, STRATEGY_SORT_MERGE};
 use wpinq::plan::{
     dataset_to_values, plan_from_spec, Executor, OptimizeLevel, PlanBindings, SequentialExecutor,
     ShardedExecutor,
@@ -24,15 +27,21 @@ use wpinq::{Expr, Plan, ReduceSpec, Value, WeightedDataset};
 
 type Rec = (u64, u64);
 
-/// Restores the process-wide overrides on scope exit, including the early returns
-/// `prop_assert!` failures take.
+/// Restores the process-wide columnar override on scope exit, including the early
+/// returns `prop_assert!` failures take.
 struct OverrideGuard;
 
 impl Drop for OverrideGuard {
     fn drop(&mut self) {
         set_columnar_override(None);
-        set_radix_override(None);
     }
+}
+
+/// Rows resolved so far by one `wpinq_resolved_rows_total` strategy, process-wide.
+fn resolved_rows(strategy: &str) -> u64 {
+    wpinq_telemetry::registry()
+        .counter_value_with(wpinq::expr::RESOLVED_ROWS_METRIC, &[("strategy", strategy)])
+        .unwrap_or(0)
 }
 
 /// A random delta-built dataset: duplicate-heavy low-cardinality keys, weights that are
@@ -83,16 +92,21 @@ fn resolver_heavy_plan(source: &Plan<Rec>, k: u64) -> Plan<Rec> {
     grouped.except(&source.filter_expr(x().field(0).rem(Expr::u64(2)).eq(Expr::u64(0))))
 }
 
-/// Evaluates `plan` over `data` under one resolver configuration and returns the
-/// bitwise-comparable rows. `radix: None` means the row interpreter (hash accumulation
-/// everywhere); `Some(flag)` runs the columnar kernels with the radix partitioner forced
-/// on or off.
+/// Serializes evaluations: the columnar override and the strategy counters are
+/// process-wide, and the tests of this binary run in parallel.
+static ENGINE: Mutex<()> = Mutex::new(());
+
+/// Evaluates `plan` over `data` through the columnar kernels (`columnar`) or the row
+/// interpreter (hash accumulation everywhere). Returns the bitwise-comparable rows and
+/// how many contribution rows `strategy` resolved during this evaluation (exact, since
+/// every evaluation in this binary holds [`ENGINE`]).
 fn run(
     plan: &Plan<Rec>,
     data: &WeightedDataset<Rec>,
     executor: &dyn Executor,
-    radix: Option<bool>,
-) -> Vec<(Value, u64)> {
+    columnar: bool,
+    strategy: &str,
+) -> (Vec<(Value, u64)>, u64) {
     let spec = plan.to_spec().expect("expression-built plans serialize");
     let rebuilt = plan_from_spec(&spec).expect("validated spec rebuilds");
     let mut bindings = PlanBindings::new();
@@ -102,33 +116,27 @@ fn run(
             std::sync::Arc::new(dataset_to_values(data)),
         );
     }
-    match radix {
-        None => {
-            set_columnar_override(Some(false));
-            set_radix_override(None);
-        }
-        Some(flag) => {
-            set_columnar_override(Some(true));
-            set_radix_override(Some(flag));
-        }
-    }
+    let _engine = ENGINE.lock().unwrap_or_else(PoisonError::into_inner);
+    let before = resolved_rows(strategy);
+    set_columnar_override(Some(columnar));
     let out = rebuilt
         .plan
         .eval_opt(&bindings, executor, OptimizeLevel::Full);
     set_columnar_override(None);
-    set_radix_override(None);
-    canon(&out)
+    (canon(&out), resolved_rows(strategy) - before)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn radix_sort_merge_and_hash_resolutions_are_bitwise_identical(
-        k in 0u64..5,
-        data in skewed_dataset(),
-    ) {
-        let _restore = OverrideGuard;
+/// Random plans through the columnar kernels match the row interpreter bitwise. Driven
+/// by `run_property` directly (the body of `proptest!`) so the sort-merge count can be
+/// checked once after every case has run: a single case may resolve nothing (its data
+/// can cancel to empty).
+#[test]
+fn radix_sort_merge_and_hash_resolutions_are_bitwise_identical() {
+    let _restore = OverrideGuard;
+    let mut sort_merged = 0;
+    proptest::run_property("packed_resolutions", 32, |rng, _| {
+        let k = (0u64..5).generate(rng);
+        let data = skewed_dataset().generate(rng);
         let source = Plan::<Rec>::source_expr("records");
         let plan = resolver_heavy_plan(&source, k);
 
@@ -136,21 +144,20 @@ proptest! {
         let sharded8 = ShardedExecutor::new(8);
         let executors: [&dyn Executor; 3] = [&SequentialExecutor, &sharded2, &sharded8];
         for executor in executors {
-            let hash = run(&plan, &data, executor, None);
-            let sort_merge = run(&plan, &data, executor, Some(false));
-            let radix = run(&plan, &data, executor, Some(true));
+            let (columnar, rows) = run(&plan, &data, executor, true, STRATEGY_SORT_MERGE);
+            sort_merged += rows;
             prop_assert_eq!(
-                sort_merge.clone(), hash.clone(),
-                "sort-merge resolution drifted from hash accumulation ({} shards)",
-                executor.shard_count()
-            );
-            prop_assert_eq!(
-                radix, sort_merge,
-                "radix resolution drifted from sort-merge ({} shards)",
+                columnar,
+                run(&plan, &data, executor, false, STRATEGY_HASH).0,
+                "columnar resolution drifted from hash accumulation ({} shards)",
                 executor.shard_count()
             );
         }
-    }
+    });
+    assert!(
+        sort_merged > 0,
+        "the property must exercise the packed sort-merge"
+    );
 }
 
 /// Enough rows through one merge that the radix partitioner actually engages (its
@@ -186,32 +193,19 @@ fn radix_partitioner_is_bitwise_invisible_at_scale() {
         .group_by_expr::<u64, u64>(x().field(0), ReduceSpec::CountThen(Expr::input()))
         .select_expr::<Rec>(Expr::tuple(vec![x().field(0), x().field(1)]));
 
-    let radix_rows = || {
-        wpinq_telemetry::registry()
-            .counter_value_with(wpinq::expr::RESOLVED_ROWS_METRIC, &[("strategy", "radix")])
-            .unwrap_or(0)
-    };
     let sharded2 = ShardedExecutor::new(2);
     let executors: [&dyn Executor; 2] = [&SequentialExecutor, &sharded2];
     for executor in executors {
-        let hash = run(&plan, &data, executor, None);
-        let sort_merge = run(&plan, &data, executor, Some(false));
-        let radix_before = radix_rows();
-        let radix = run(&plan, &data, executor, Some(true));
+        let (hash, _) = run(&plan, &data, executor, false, STRATEGY_HASH);
+        let (radix, radixed) = run(&plan, &data, executor, true, STRATEGY_RADIX);
         assert!(
-            radix_rows() > radix_before,
+            radixed > 0,
             "the dataset must be large enough that the radix partitioner actually runs"
         );
         assert_eq!(
-            sort_merge,
-            hash,
-            "sort-merge drifted from hash at scale ({} shards)",
-            executor.shard_count()
-        );
-        assert_eq!(
             radix,
-            sort_merge,
-            "radix drifted from sort-merge at scale ({} shards)",
+            hash,
+            "radix drifted from hash at scale ({} shards)",
             executor.shard_count()
         );
     }
