@@ -6,20 +6,23 @@
 //! loopback connections, cold (every request is a fresh ε-charged measurement), traced
 //! (the cold workload with `"trace": true` on every request, so each response carries
 //! its per-request telemetry trace), and cached (identical repeats answered from the
-//! cross-request measurement cache with zero extra ε). Along the way it asserts the
-//! service invariants the numbers depend on: cached repeats come back byte-identical,
-//! the cold path charges exactly the ε it was asked for, and traced responses carry
-//! the trace.
+//! cross-request measurement cache with zero extra ε). A fourth leg replays large
+//! cached releases over TCP: the 4,178-record joint degree distribution of the CA-GrQc
+//! stand-in, about 120 KB as JSON (`svc-large-json`) and 134 KB as base64 colwire
+//! (`svc-large-columnar`), so its time is the transport's block reads and the client's
+//! linear parse of one long line. Along the way it asserts the service invariants the
+//! numbers depend on: cached repeats come back byte-identical, the cold path charges
+//! exactly the ε it was asked for, and traced responses carry the trace.
 //!
 //! Results are printed as a table and written to `BENCH_service.json` as
 //! machine-readable rows keyed `(workload, executor, shards)` —
-//! `svc-cold`/`svc-traced`/`svc-cached` × `inproc`/`tcp` × analyst count — which
-//! `bench --bin gate` compares against the committed baseline. `wall_ms` is the gated
-//! figure; `req_per_s` rides along for the human reader. The `svc-cold` rows *are* the
-//! tracing-off leg: telemetry must be free when disabled, so the gate bounds any
-//! tracing-off overhead regression exactly like any other slowdown, while the
-//! `svc-traced` rows price the tracing-on path next to it (their traced/cold overhead
-//! ratio is printed per cell).
+//! `svc-cold`/`svc-traced`/`svc-cached` × `inproc`/`tcp` × analyst count, plus the
+//! `svc-large-*` legs (labelled `tcp-large`) — which `bench --bin gate` compares against
+//! the committed baseline. `wall_ms` is the gated figure; `req_per_s` rides along for
+//! the human reader. The `svc-cold` rows *are* the tracing-off leg: telemetry must be
+//! free when disabled, so the gate bounds any tracing-off overhead regression exactly
+//! like any other slowdown, while the `svc-traced` rows price the tracing-on path next
+//! to it (their traced/cold overhead ratio is printed per cell).
 //!
 //! Flags: `--scale full` for more requests per cell, `--seed N` for the noise seed,
 //! `--out PATH` to write the JSON somewhere other than the committed baseline (CI
@@ -29,9 +32,14 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use bench::report::{fmt_f, heading, Table};
+use bench::smallsets::grqc_small;
 use bench::HarnessArgs;
-use wpinq::{Expr, Plan, PrivacyBudget, WeightedDataset};
-use wpinq_service::{serve_tcp, Client, InProcess, MeasurementService, Tcp, Transport};
+use wpinq::{Expr, ExprRecord, Plan, PrivacyBudget, WeightedDataset};
+use wpinq_analyses::edges::{symmetric_edge_dataset, EDGES_DATASET};
+use wpinq_analyses::jdd::jdd_plan_expr;
+use wpinq_service::{
+    serve_tcp, Client, InProcess, MeasurementService, ResponseEncoding, Tcp, Transport,
+};
 
 /// One measured cell of the matrix.
 struct Row {
@@ -54,12 +62,39 @@ fn bench_edges(nodes: u32, degree: u32) -> WeightedDataset<(u32, u32)> {
     }))
 }
 
-/// The measured workload: the degree-CCDF plan (multiplicity 1 over the edge source).
-fn degree_plan() -> Plan<u64> {
-    Plan::<(u32, u32)>::source_expr("edges")
-        .select_expr::<u32>(Expr::input().field(0))
-        .shave_const(1.0)
-        .select_expr::<u64>(Expr::input().field(1))
+/// What a cell measures: a plan over the edge source, its ε multiplier, and the
+/// release encoding the analysts ask for.
+struct Leg<R: ExprRecord> {
+    plan: Plan<R>,
+    multiplicity: f64,
+    encoding: ResponseEncoding,
+}
+
+/// The cold, traced and cached workload: the degree-CCDF plan (multiplicity 1).
+fn degree_leg() -> Leg<u64> {
+    Leg {
+        plan: Plan::<(u32, u32)>::source_expr(EDGES_DATASET)
+            .select_expr::<u32>(Expr::input().field(0))
+            .shave_const(1.0)
+            .select_expr::<u64>(Expr::input().field(1)),
+        multiplicity: 1.0,
+        encoding: ResponseEncoding::Json,
+    }
+}
+
+/// The transport label of the large-release rows. It is TCP, but the gate normalises
+/// machine speed per `(executor, shards)` group, and these rows' baseline was recorded
+/// on another machine than the `tcp` rows': a group mixing two machines' baselines
+/// misreads the scale and flags whichever rows scale differently.
+const LARGE_TRANSPORT: &str = "tcp-large";
+
+/// The large-release workload: the joint degree distribution (multiplicity 4).
+fn jdd_leg(encoding: ResponseEncoding) -> Leg<(u64, u64)> {
+    Leg {
+        plan: jdd_plan_expr(&Plan::source_expr(EDGES_DATASET)),
+        multiplicity: 4.0,
+        encoding,
+    }
 }
 
 /// A fresh service with one registered dataset and an ample per-analyst grant for each
@@ -70,25 +105,32 @@ fn build_service(
     edges: &WeightedDataset<(u32, u32)>,
 ) -> Arc<MeasurementService> {
     let service = Arc::new(MeasurementService::new().with_noise_seed(seed));
-    service.register("edges", edges).expect("dataset registers");
+    service
+        .register(EDGES_DATASET, edges)
+        .expect("dataset registers");
     for a in 0..analysts {
         service
-            .grant(&format!("analyst-{a}"), "edges", PrivacyBudget::new(1e9))
+            .grant(
+                &format!("analyst-{a}"),
+                EDGES_DATASET,
+                PrivacyBudget::new(1e9),
+            )
             .expect("grant");
     }
     service
 }
 
-/// Runs `requests` measurements per analyst thread through `make_transport` and returns
-/// the wall time of the whole concurrent burst.
+/// Runs `requests` measurements of `leg` per analyst thread through `make_transport`
+/// and returns the wall time of the whole concurrent burst.
 ///
 /// Cold mode gives every request its own ε (a distinct cache key, so each one is a
 /// genuine fresh evaluation and debit); cached mode primes one entry per analyst first,
 /// then times identical repeats, asserting every repeat is byte-identical to the prime.
 /// Traced mode is cold mode with `"trace": true` stamped on every request (the
 /// tracing-on leg), asserting each response actually carries its trace.
-fn run_cell<T, F>(
+fn run_cell<R, T, F>(
     service: &Arc<MeasurementService>,
+    leg: &Leg<R>,
     analysts: usize,
     requests: usize,
     cached: bool,
@@ -96,21 +138,32 @@ fn run_cell<T, F>(
     make_transport: F,
 ) -> f64
 where
+    R: ExprRecord,
     T: Transport + 'static,
     F: Fn() -> T + Sync,
 {
-    let plan = degree_plan();
-    let spent_before: f64 = (0..analysts)
-        .map(|a| 1e9 - service.remaining(&format!("analyst-{a}"), "edges").unwrap())
-        .sum();
+    let spent = || -> f64 {
+        (0..analysts)
+            .map(|a| {
+                1e9 - service
+                    .remaining(&format!("analyst-{a}"), EDGES_DATASET)
+                    .unwrap()
+            })
+            .sum()
+    };
+    let client = |a: usize| {
+        Client::new(make_transport(), format!("analyst-{a}"))
+            .with_tracing(traced)
+            .with_encoding(leg.encoding)
+    };
+    let spent_before = spent();
     let primes: Vec<Option<String>> = (0..analysts)
         .map(|a| {
             if !cached {
                 return None;
             }
-            let client = Client::new(make_transport(), format!("analyst-{a}"));
-            let release = client
-                .measure_with_id::<u64>(&plan, 0.5, Some("bench".into()))
+            let release = client(a)
+                .measure_with_id(&leg.plan, 0.5, Some("bench".into()))
                 .expect("prime measurement");
             Some(release.raw)
         })
@@ -120,16 +173,14 @@ where
     std::thread::scope(|scope| {
         let threads: Vec<_> = (0..analysts)
             .map(|a| {
-                let plan = &plan;
                 let primes = &primes;
-                let make_transport = &make_transport;
+                let client = &client;
                 scope.spawn(move || {
-                    let client =
-                        Client::new(make_transport(), format!("analyst-{a}")).with_tracing(traced);
+                    let client = client(a);
                     for k in 0..requests {
                         if cached {
                             let release = client
-                                .measure_with_id::<u64>(plan, 0.5, Some("bench".into()))
+                                .measure_with_id(&leg.plan, 0.5, Some("bench".into()))
                                 .expect("cached measurement");
                             assert_eq!(
                                 Some(&release.raw),
@@ -141,7 +192,7 @@ where
                             // genuine cold evaluation and debit every time.
                             let epsilon = 0.5 + (k as f64 + 1.0) * 1e-6;
                             let release = client
-                                .measure_with_id::<u64>(plan, epsilon, None)
+                                .measure_with_id(&leg.plan, epsilon, None)
                                 .expect("cold measurement");
                             if traced && k == 0 {
                                 assert!(
@@ -160,24 +211,44 @@ where
     });
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
 
-    let spent_after: f64 = (0..analysts)
-        .map(|a| 1e9 - service.remaining(&format!("analyst-{a}"), "edges").unwrap())
-        .sum();
-    let burst_spent = spent_after - spent_before;
-    let expected = if cached {
-        // The primes paid 0.5 each; the timed repeats are free.
-        0.5 * analysts as f64
+    let burst_spent = spent() - spent_before;
+    let epsilon_per_analyst = if cached {
+        // The prime paid 0.5; the timed repeats are free.
+        0.5
     } else {
-        (0..requests)
-            .map(|k| 0.5 + (k as f64 + 1.0) * 1e-6)
-            .sum::<f64>()
-            * analysts as f64
+        (0..requests).map(|k| 0.5 + (k as f64 + 1.0) * 1e-6).sum()
     };
+    let expected = epsilon_per_analyst * analysts as f64 * leg.multiplicity;
     assert!(
         (burst_spent - expected).abs() < 1e-6,
         "unexpected ε accounting: spent {burst_spent}, expected {expected}"
     );
     wall_ms
+}
+
+/// [`run_cell`] over loopback TCP: one server worker per analyst (at least two).
+fn run_tcp_cell<R: ExprRecord>(
+    service: &Arc<MeasurementService>,
+    leg: &Leg<R>,
+    analysts: usize,
+    requests: usize,
+    cached: bool,
+    traced: bool,
+) -> f64 {
+    let server =
+        serve_tcp(service.clone(), "127.0.0.1:0", analysts.max(2)).expect("loopback server");
+    let addr = server.local_addr().to_string();
+    let wall = run_cell(
+        service,
+        leg,
+        analysts,
+        requests,
+        cached,
+        traced,
+        move || Tcp::new(addr.clone()),
+    );
+    server.shutdown();
+    wall
 }
 
 fn write_json(path: &str, mode: &str, rows: &[Row]) -> std::io::Result<()> {
@@ -236,6 +307,28 @@ fn main() {
         "req/s".to_string(),
     ]);
 
+    let mut record =
+        |workload: &'static str, transport: &'static str, analysts: usize, wall_ms: f64| {
+            let total = analysts * requests;
+            let req_per_s = total as f64 / (wall_ms / 1e3);
+            table.row([
+                workload.to_string(),
+                transport.to_string(),
+                analysts.to_string(),
+                fmt_f(wall_ms, 2),
+                fmt_f(req_per_s, 1),
+            ]);
+            rows.push(Row {
+                workload,
+                transport,
+                analysts,
+                wall_ms,
+                requests: total,
+                req_per_s,
+            });
+        };
+
+    let degree = degree_leg();
     for workload in ["svc-cold", "svc-traced", "svc-cached"] {
         let cached = workload == "svc-cached";
         let traced = workload == "svc-traced";
@@ -246,37 +339,33 @@ fn main() {
                 let service = build_service(analysts, args.seed, &edges);
                 let wall_ms = if transport == "inproc" {
                     let svc = service.clone();
-                    run_cell(&service, analysts, requests, cached, traced, move || {
-                        InProcess::new(svc.clone())
-                    })
+                    run_cell(
+                        &service,
+                        &degree,
+                        analysts,
+                        requests,
+                        cached,
+                        traced,
+                        move || InProcess::new(svc.clone()),
+                    )
                 } else {
-                    let server = serve_tcp(service.clone(), "127.0.0.1:0", analysts.max(2))
-                        .expect("loopback server");
-                    let addr = server.local_addr().to_string();
-                    let wall = run_cell(&service, analysts, requests, cached, traced, move || {
-                        Tcp::new(addr.clone())
-                    });
-                    server.shutdown();
-                    wall
+                    run_tcp_cell(&service, &degree, analysts, requests, cached, traced)
                 };
-                let total = analysts * requests;
-                let req_per_s = total as f64 / (wall_ms / 1e3);
-                table.row([
-                    workload.to_string(),
-                    transport.to_string(),
-                    analysts.to_string(),
-                    fmt_f(wall_ms, 2),
-                    fmt_f(req_per_s, 1),
-                ]);
-                rows.push(Row {
-                    workload,
-                    transport,
-                    analysts,
-                    wall_ms,
-                    requests: total,
-                    req_per_s,
-                });
+                record(workload, transport, analysts, wall_ms);
             }
+        }
+    }
+
+    let grqc = symmetric_edge_dataset(&grqc_small());
+    for (workload, encoding) in [
+        ("svc-large-json", ResponseEncoding::Json),
+        ("svc-large-columnar", ResponseEncoding::Columnar),
+    ] {
+        let jdd = jdd_leg(encoding);
+        for &analysts in &analyst_counts {
+            let service = build_service(analysts, args.seed, &grqc);
+            let wall_ms = run_tcp_cell(&service, &jdd, analysts, requests, true, false);
+            record(workload, LARGE_TRANSPORT, analysts, wall_ms);
         }
     }
     table.print();

@@ -302,7 +302,8 @@ pub fn to_base64(bytes: &[u8]) -> String {
     out
 }
 
-/// Inverse of [`to_base64`]; rejects non-alphabet characters and ragged lengths.
+/// Inverse of [`to_base64`]; rejects non-alphabet characters, ragged lengths and any
+/// text `to_base64` would not emit (padding before the final quad, non-zero pad bits).
 pub fn from_base64(text: &str) -> Result<Vec<u8>, ColwireError> {
     fn value_of(c: u8) -> Result<u32, ColwireError> {
         match c {
@@ -321,10 +322,12 @@ pub fn from_base64(text: &str) -> Result<Vec<u8>, ColwireError> {
     if !raw.len().is_multiple_of(4) {
         return Err(ColwireError::new("base64 length not a multiple of 4"));
     }
-    let mut out = Vec::with_capacity(raw.len() / 4 * 3);
-    for quad in raw.chunks_exact(4) {
+    let quads = raw.len() / 4;
+    let mut out = Vec::with_capacity(quads * 3);
+    for (index, quad) in raw.chunks_exact(4).enumerate() {
         let pad = quad.iter().rev().take_while(|&&c| c == b'=').count();
-        if pad > 2 || quad[..4 - pad].contains(&b'=') {
+        // Padding may only end the text: `to_base64` never pads an inner quad.
+        if pad > 2 || (pad > 0 && index + 1 < quads) || quad[..4 - pad].contains(&b'=') {
             return Err(ColwireError::new("malformed base64 padding"));
         }
         let mut word = 0u32;
@@ -332,6 +335,10 @@ pub fn from_base64(text: &str) -> Result<Vec<u8>, ColwireError> {
             word = (word << 6) | value_of(c)?;
         }
         word <<= 6 * pad;
+        // The bits a padded quad drops must be zero, or the text has no canonical form.
+        if word & ((1 << (8 * pad)) - 1) != 0 {
+            return Err(ColwireError::new("non-canonical base64 padding bits"));
+        }
         out.push((word >> 16) as u8);
         if pad < 2 {
             out.push((word >> 8) as u8);
@@ -450,5 +457,13 @@ mod tests {
         assert!(from_base64("###!").is_err());
         assert!(from_base64("AAA").is_err());
         assert!(from_base64("=AAA").is_err());
+        // Padding before the final quad or non-zero dropped bits do not round-trip
+        // through `to_base64`, so they are refused.
+        assert!(from_base64("AA==AAAA").is_err());
+        assert!(from_base64("AAA=AAAA").is_err());
+        assert!(from_base64("AB==").is_err());
+        assert!(from_base64("AAB=").is_err());
+        assert_eq!(from_base64("AA==").unwrap(), [0]);
+        assert_eq!(from_base64("AAAAAAE=").unwrap(), [0, 0, 0, 0, 1]);
     }
 }

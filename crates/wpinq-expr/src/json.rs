@@ -360,10 +360,23 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     Ok(Json::Num(token.to_string()))
 }
 
+/// Parses one string literal in a single pass: each run of bytes up to the next `"`,
+/// `\` or control byte is appended whole. All three stop bytes are ASCII, so every run
+/// of the `&str` input starts and ends on a character boundary.
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
+        let run_len = bytes[*pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+            .unwrap_or(bytes.len() - *pos);
+        if run_len > 0 {
+            let run = std::str::from_utf8(&bytes[*pos..*pos + run_len])
+                .map_err(|_| JsonError::at(*pos, "invalid UTF-8"))?;
+            out.push_str(run);
+            *pos += run_len;
+        }
         match bytes.get(*pos) {
             None => return Err(JsonError::at(*pos, "unterminated string")),
             Some(b'"') => {
@@ -399,14 +412,8 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 }
                 *pos += 1;
             }
-            Some(_) => {
-                // Consume one UTF-8 character (input is a &str, so boundaries are valid).
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| JsonError::at(*pos, "invalid UTF-8"))?;
-                let c = rest.chars().next().expect("non-empty remainder");
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+            // RFC 8259 §7: U+0000–U+001F must be escaped inside a string.
+            Some(_) => return Err(JsonError::at(*pos, "unescaped control character")),
         }
     }
 }
@@ -459,6 +466,54 @@ mod tests {
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("nope").is_err());
+        // RFC 8259 §7: raw control characters must be escaped inside strings.
+        for c in (0u8..0x20).map(char::from) {
+            let err = Json::parse(&format!("[\"ab{c}cd\"]")).unwrap_err();
+            assert_eq!(
+                err.offset, 4,
+                "raw U+{:04X} is rejected where it stands",
+                c as u32
+            );
+            let escaped = Json::str(c.to_string()).to_compact();
+            assert_eq!(Json::parse(&escaped).unwrap(), Json::str(c.to_string()));
+        }
+        assert!(Json::parse("{\"k\u{7}\":1}").is_err());
+    }
+
+    #[test]
+    fn strings_parse_run_by_run_exactly() {
+        // Multi-byte characters directly against quotes, escapes and the string ends.
+        let cases: [(&str, &str); 7] = [
+            (r#""é""#, "é"),
+            (r#""\"é\"""#, "\"é\""),
+            (r#""ü\\€\n𝄞""#, "ü\\€\n𝄞"),
+            (r#""\u00e9é\u20ac€""#, "éé€€"),
+            (r#""\/\b\f\r\t""#, "/\u{8}\u{c}\r\t"),
+            (r#""""#, ""),
+            (r#""\u0000𝄞\u001f""#, "\u{0}𝄞\u{1f}"),
+        ];
+        for (text, expected) in cases {
+            assert_eq!(Json::parse(text).unwrap(), Json::str(expected), "{text}");
+        }
+        // Long runs on both sides of escapes survive a write → parse cycle unchanged.
+        let long: String = "ab€𝄞".repeat(50_000);
+        for s in [
+            long.clone(),
+            format!("{long}\"{long}"),
+            format!("\\{long}\n"),
+            format!("\u{1}{long}\u{7f}"),
+        ] {
+            let text = Json::Arr(vec![Json::str(s.clone()), Json::Null]).to_compact();
+            let parsed = Json::parse(&text).unwrap();
+            assert_eq!(parsed.as_arr().unwrap()[0].as_str(), Some(s.as_str()));
+            assert_eq!(parsed.to_compact(), text);
+        }
+        assert!(
+            Json::parse(r#""\ud834\udd1e""#).is_err(),
+            "surrogates stay unsupported"
+        );
+        assert!(Json::parse(r#""\u12""#).is_err());
+        assert!(Json::parse(r#""\x""#).is_err());
     }
 
     #[test]

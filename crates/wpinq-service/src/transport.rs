@@ -8,7 +8,9 @@
 //!   socket would carry, with zero copies of anything else. The default for tests and
 //!   embedded curators.
 //! * [`Tcp`] — a `std::net` client holding one persistent connection (lazily opened,
-//!   re-opened after an error).
+//!   re-opened after an error). It reads responses in 64 KiB blocks, so a large
+//!   release costs a few `read` calls; the block buffer lives and dies with the
+//!   connection, so a response cut short by an error never leaks into the next one.
 //!
 //! The server side is [`serve_tcp`]: a `std::net` accept loop feeding a fixed pool of
 //! named worker threads over an mpsc channel — the same hand-rolled worker-pool idiom
@@ -20,8 +22,14 @@
 //! Concurrency safety is the service's job, not the transport's: workers share one
 //! `Arc<MeasurementService>` and call [`handle_line`](MeasurementService::handle_line)
 //! with no transport-level locking.
+//!
+//! Every step between the socket and the service is linear in the line's length: the
+//! newline scan resumes where the last read stopped, complete lines are served in place
+//! from the read buffer, and the JSON parser copies each string run by run. A request
+//! line is capped at [`MAX_LINE_BYTES`], so the cap also bounds the time one request
+//! can hold a worker before the service proper sees it.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -40,7 +48,8 @@ const IDLE_POLL: Duration = Duration::from_millis(50);
 
 /// The longest request line (excluding its newline) a TCP server connection buffers. A
 /// longer line is answered with one `wire` error line and the connection is closed, so
-/// a peer that never sends a newline cannot grow a worker's buffer without bound.
+/// a peer that never sends a newline cannot grow a worker's buffer without bound. Parse
+/// time is linear in line length, so the cap bounds a request's parse time as well.
 pub const MAX_LINE_BYTES: usize = 4 << 20;
 
 /// A bidirectional line transport: one request envelope in, one response envelope out.
@@ -80,10 +89,17 @@ impl Transport for InProcess {
 
 /// The TCP client transport: newline-delimited envelopes over one persistent
 /// connection, lazily opened on first use and re-opened after any I/O error.
+///
+/// Responses are read through a block buffer kept with the connection, so a release
+/// of any size costs a handful of `read` calls, not one per byte.
 pub struct Tcp {
     addr: String,
-    conn: Mutex<Option<TcpStream>>,
+    conn: Mutex<Option<BufReader<TcpStream>>>,
 }
+
+/// The client's read buffer: a cached 4,000-record JDD release (about 130 KB) arrives
+/// in a few reads.
+const CLIENT_READ_BUFFER: usize = 64 << 10;
 
 impl Tcp {
     /// A transport that will connect to `addr` (e.g. `"127.0.0.1:7878"`) on first use.
@@ -108,39 +124,29 @@ impl Transport for Tcp {
             // One request per round trip: Nagle coalescing only adds delayed-ACK
             // stalls (~40 ms per exchange) to this protocol, never useful batching.
             let _ = stream.set_nodelay(true);
-            *conn = Some(stream);
+            *conn = Some(BufReader::with_capacity(CLIENT_READ_BUFFER, stream));
         }
-        let stream = conn.as_mut().expect("just connected");
+        let reader = conn.as_mut().expect("just connected");
         let result = (|| {
             // Request and newline in a single write: two small segments would
             // otherwise invite a delayed-ACK stall between them.
-            let mut framed = Vec::with_capacity(request_line.len() + 1);
-            framed.extend_from_slice(request_line.as_bytes());
-            framed.push(b'\n');
-            stream
-                .write_all(&framed)
-                .and_then(|()| stream.flush())
+            write_line(reader.get_mut(), request_line)
                 .map_err(|e| Self::io_err("send request", e))?;
-            // Read up to the response's newline, byte-exactly.
             let mut line = Vec::new();
-            let mut byte = [0u8; 1];
-            loop {
-                match stream.read(&mut byte) {
-                    Ok(0) => {
-                        return Err(ClientError::Transport(
-                            "connection closed before a response line".into(),
-                        ))
-                    }
-                    Ok(_) if byte[0] == b'\n' => break,
-                    Ok(_) => line.push(byte[0]),
-                    Err(e) => return Err(Self::io_err("read response", e)),
-                }
+            reader
+                .read_until(b'\n', &mut line)
+                .map_err(|e| Self::io_err("read response", e))?;
+            if line.pop() != Some(b'\n') {
+                return Err(ClientError::Transport(
+                    "connection closed before a response line".into(),
+                ));
             }
             String::from_utf8(line)
                 .map_err(|_| ClientError::Transport("response is not UTF-8".into()))
         })();
         if result.is_err() {
-            // Drop the broken connection; the next round trip reconnects.
+            // Drop the broken connection and whatever its buffer holds: the next round
+            // trip reconnects, and a half-read response never leaks into it.
             *conn = None;
         }
         result
@@ -359,32 +365,31 @@ fn handle_connection(service: &MeasurementService, stream: TcpStream, shutdown: 
     let mut scanned = 0;
     let mut chunk = [0u8; 4096];
     loop {
-        // Serve every complete line buffered so far. Partial lines stay in `pending`
-        // across reads — a request split over TCP segments is reassembled, never lost.
+        // Serve every complete line buffered so far, borrowed in place; the served
+        // prefix is dropped once afterwards. A partial line stays in `pending` across
+        // reads — a request split over TCP segments is reassembled, never lost.
+        let mut line_start = 0;
         while let Some(offset) = pending[scanned..].iter().position(|&b| b == b'\n') {
             let end = scanned + offset;
-            scanned = 0;
-            if end > MAX_LINE_BYTES {
+            scanned = end + 1;
+            if end - line_start > MAX_LINE_BYTES {
                 reject_long_line(&mut stream);
                 return;
             }
-            let line: Vec<u8> = pending.drain(..=end).collect();
-            let Ok(text) = std::str::from_utf8(&line[..end]) else {
+            let Ok(text) = std::str::from_utf8(&pending[line_start..end]) else {
                 return; // Non-UTF-8 request: drop the connection.
             };
-            if text.trim().is_empty() {
+            line_start = scanned;
+            let text = text.trim();
+            if text.is_empty() {
                 continue;
             }
-            let mut response = service.handle_line(text.trim()).into_bytes();
-            response.push(b'\n');
-            if stream
-                .write_all(&response)
-                .and_then(|()| stream.flush())
-                .is_err()
-            {
+            let response = service.handle_line(text);
+            if write_line(&mut stream, &response).is_err() {
                 return;
             }
         }
+        pending.drain(..line_start);
         scanned = pending.len();
         if scanned > MAX_LINE_BYTES {
             reject_long_line(&mut stream);
@@ -408,12 +413,25 @@ fn handle_connection(service: &MeasurementService, stream: TcpStream, shutdown: 
     }
 }
 
+/// Writes `line` and its newline as one vectored write (one segment when the socket
+/// takes it whole) without copying the line. Both ends frame lines with it.
+fn write_line(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
+    let line = line.as_bytes();
+    let mut written = 0;
+    while written <= line.len() {
+        match stream.write_vectored(&[IoSlice::new(&line[written..]), IoSlice::new(b"\n")]) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => written += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    stream.flush()
+}
+
 /// Answers a request line over [`MAX_LINE_BYTES`] with one `wire` error line.
 fn reject_long_line(stream: &mut TcpStream) {
     let error = WireError::new(format!("request line exceeds {MAX_LINE_BYTES} bytes"));
-    let mut response = ServiceError::Wire(error).to_json_with_id(None).to_compact();
-    response.push('\n');
-    let _ = stream
-        .write_all(response.as_bytes())
-        .and_then(|()| stream.flush());
+    let response = ServiceError::Wire(error).to_json_with_id(None).to_compact();
+    let _ = write_line(stream, &response);
 }

@@ -16,8 +16,10 @@ use std::sync::Arc;
 
 use wpinq::plan::executor_for_threads;
 use wpinq::{Expr, Plan, PrivacyBudget, WeightedDataset};
+use wpinq_expr::Json;
 use wpinq_service::{
-    serve_tcp, Client, ClientError, InProcess, MeasurementService, Tcp, MAX_LINE_BYTES,
+    serve_tcp, Client, ClientError, InProcess, MeasureRequest, MeasurementService,
+    ResponseEncoding, Tcp, MAX_LINE_BYTES,
 };
 
 fn edge_data() -> WeightedDataset<(u32, u32)> {
@@ -402,5 +404,73 @@ fn an_over_long_request_line_is_a_wire_error_and_closes_the_connection() {
     client
         .measure_with_id::<u64>(&degree_plan("edges"), 0.5, None)
         .expect("the worker keeps serving");
+    server.shutdown();
+}
+
+/// Parsing is linear in line length, so `MAX_LINE_BYTES` bounds one request's time: a
+/// request line just under the cap, almost all of it one JSON string, is answered
+/// within seconds, and an analyst on the other worker is served all the while.
+#[test]
+fn a_request_line_near_the_cap_is_answered_promptly_and_starves_no_one() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::time::{Duration, Instant};
+
+    let service = Arc::new(MeasurementService::new());
+    service.register("edges", &edge_data()).unwrap();
+    for analyst in ["alice", "bob"] {
+        service
+            .grant(analyst, "edges", PrivacyBudget::new(1.0))
+            .unwrap();
+    }
+    let server = serve_tcp(service.clone(), "127.0.0.1:0", 2).expect("loopback server");
+    let addr = server.local_addr().to_string();
+
+    // A valid request padded by an unknown member holding one ~4 MiB string.
+    let request = MeasureRequest {
+        analyst: "alice".into(),
+        epsilon: 0.5,
+        spec: degree_plan("edges").to_spec().unwrap(),
+        id: None,
+        trace: false,
+        encoding: ResponseEncoding::Json,
+    };
+    // Multi-byte characters and escapes throughout, so every path of the string scan runs.
+    let unit = "padding é\\\" ";
+    let unit_bytes = Json::str(unit).to_compact().len() - 2;
+    let padded = |units: usize| {
+        let Json::Obj(mut members) = request.to_json() else {
+            unreachable!("a request envelope is an object")
+        };
+        members.push(("padding".into(), Json::str(unit.repeat(units))));
+        Json::Obj(members).to_compact()
+    };
+    let mut line = padded((MAX_LINE_BYTES - padded(0).len()) / unit_bytes);
+    assert!(line.len() > MAX_LINE_BYTES - unit_bytes && line.len() <= MAX_LINE_BYTES);
+    line.push('\n');
+
+    let patience = Duration::from_secs(10);
+    let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
+    stream.set_read_timeout(Some(patience)).unwrap();
+    let started = Instant::now();
+    stream
+        .write_all(line.as_bytes())
+        .expect("send the long line");
+
+    // Bob, on the other worker, is answered while alice's line is in hand.
+    let bob = Client::new(Tcp::new(addr), "bob");
+    bob.measure_with_id::<u64>(&degree_plan("edges"), 0.5, None)
+        .expect("the other worker keeps serving");
+
+    let mut response = String::new();
+    if let Err(error) = BufReader::new(stream).read_line(&mut response) {
+        // Shutting down would join the stalled worker and hang instead of failing.
+        std::mem::forget(server);
+        panic!("no answer to the long line within {patience:?}: {error}");
+    }
+    let elapsed = started.elapsed();
+    assert!(elapsed < patience, "answered after {elapsed:?}");
+    let response = Json::parse(response.trim_end()).expect("response is JSON");
+    assert_eq!(response.get("ok").and_then(Json::as_bool), Some(true));
+    assert!((service.remaining("alice", "edges").unwrap() - 0.5).abs() < 1e-12);
     server.shutdown();
 }
